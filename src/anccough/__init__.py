@@ -13,7 +13,7 @@ from .dsp import (
 )
 from .evalkit import MetricsReport, ablation, evaluate, resource_table, resource_table_csv
 from .model_io import load_model, save_model
-from .net import ModelSpec, backward, default_spec, forward, init_params
+from .net import ModelSpec, default_spec, forward, init_params
 from .pipeline import (
     LabeledWindow,
     SplitConfig,
@@ -24,7 +24,7 @@ from .pipeline import (
     train,
 )
 from .profile import ResourceProfile, profile
-from .stream import DetectionEvent, DetectorState, StreamingDetector, detect, stream_state_step
+from .stream import DetectionEvent, DetectorState, StreamingDetector, detect
 from .synth import (
     AnnotatedSegment,
     ChannelModel,

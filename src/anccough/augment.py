@@ -214,40 +214,3 @@ def load_noise_pool(directory: str | Path, rate_hz: int) -> list[DualChannelWind
             rec = decimate(rec, rate_hz)
         pool.extend(slice_windows(rec))
     return pool
-
-
-def plan_to_text(plan: AugmentPlan) -> str:
-    """Serialize a plan as editable key=value lines (ranges as 'lo,hi')."""
-    lines = []
-    for name in (
-        "gain_db_range",
-        "shift_range_s",
-        "pitch_semitone_range",
-        "speed_factor_range",
-        "mask_fraction_range",
-        "white_noise_snr_db_range",
-        "background_snr_db_range",
-    ):
-        lo, hi = getattr(plan, name)
-        lines.append(f"{name}={lo!r},{hi!r}")
-    lines.append(f"copies_per_clip={plan.copies_per_clip}")
-    lines.append(f"seed={plan.seed}")
-    return "\n".join(lines) + "\n"
-
-
-def plan_from_text(text: str) -> AugmentPlan:
-    """Parse the key=value form written by plan_to_text."""
-    kwargs: dict = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in ("copies_per_clip", "seed"):
-            kwargs[key] = int(value)
-        else:
-            lo, hi = value.split(",")
-            kwargs[key] = (float(lo), float(hi))
-    return AugmentPlan(**kwargs)

@@ -21,9 +21,9 @@ from .model_io import load_model, save_model
 _RATE_CHOICES = list(SUPPORTED_RATES)
 
 
-def _write_run_config(path: Path, command: str, args, values: dict) -> None:
+def _write_run_config(path: Path, command: str, values: dict) -> None:
     # location-independent reproducibility record: settings only, no paths
-    doc = {"command": command, "jobs": args.jobs, **values}
+    doc = {"command": command, **values}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -75,7 +75,7 @@ def _train_cfg_from_args(args) -> pipeline.TrainConfig:
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     manifest = synth.generate_dataset(out_dir, n_users=args.users, seed=args.seed)
-    _write_run_config(out_dir / "run_config.json", "synth", args,
+    _write_run_config(out_dir / "run_config.json", "synth",
                       {"users": args.users, "seed": args.seed})
     print(f"wrote {len(manifest.entries)} recordings under {out_dir}")
     print(out_dir / synth.MANIFEST_FILENAME)
@@ -109,7 +109,7 @@ def cmd_train(args) -> int:
     save_model(spec, params, out)
     Path(str(out) + ".history.csv").write_text(pipeline.history_to_csv(history),
                                                encoding="utf-8")
-    _write_run_config(Path(str(out) + ".run.json"), "train", args, {
+    _write_run_config(Path(str(out) + ".run.json"), "train", {
         "rate": args.rate, "epochs": args.epochs, "batch_size": args.batch_size,
         "lr": args.lr, "optimizer": args.optimizer, "patience": args.patience,
         "copies": args.copies, "class_weighting": args.class_weighting,
@@ -136,7 +136,7 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(report.to_json(), encoding="utf-8")
     (out_dir / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
-    _write_run_config(out_dir / "run_config.json", "eval", args, {
+    _write_run_config(out_dir / "run_config.json", "eval", {
         "threshold": args.threshold,
         "test_users": list(split.test_users),
     })
@@ -165,7 +165,7 @@ def cmd_ablate(args) -> int:
         (out_dir / f"{variant}.json").write_text(report.to_json(), encoding="utf-8")
         lines.append(f"{variant:18s} acc2 {report.acc2:.4f}  f1_2 {report.f1_2:.4f}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_run_config(out_dir / "run_config.json", "ablate", args, {
+    _write_run_config(out_dir / "run_config.json", "ablate", {
         "rate": args.rate, "epochs": args.epochs, "batch_size": args.batch_size,
         "lr": args.lr, "optimizer": args.optimizer, "patience": args.patience,
         "copies": args.copies, "class_weighting": args.class_weighting,
@@ -194,7 +194,7 @@ def cmd_detect(args) -> int:
     ndjson = stream.events_to_ndjson(events)
     if args.out:
         Path(args.out).write_text(ndjson, encoding="utf-8")
-        _write_run_config(Path(str(args.out) + ".run.json"), "detect", args,
+        _write_run_config(Path(str(args.out) + ".run.json"), "detect",
                           {"threshold": args.threshold})
         print(f"{len(events)} events -> {args.out}")
     else:
@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None,
                         help="key=value file whose entries become flag defaults")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap, recorded for reproducibility (compute is in-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate the synthetic dual-channel dataset")
@@ -264,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        parser.error("argument --config: expected one argument")
+    path = argv[at]
     overrides = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -277,7 +278,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         for a in action._actions:  # noqa: SLF001
             if a.dest in overrides:
                 if a.type is not None:
-                    typed[a.dest] = a.type(overrides[a.dest])
+                    try:
+                        typed[a.dest] = a.type(overrides[a.dest])
+                    except (TypeError, ValueError):
+                        parser.error(f"--config: invalid {a.dest} value {overrides[a.dest]!r}")
                 elif isinstance(a.const, bool) or isinstance(a.default, bool):
                     typed[a.dest] = overrides[a.dest].lower() in ("1", "true", "yes")
                 else:

@@ -71,6 +71,10 @@ class TruncatedFile(AnccoughError):
     """Model file ends before the declared contents."""
 
 
+class InvalidSpec(AnccoughError, ValueError):
+    """Layer graph breaks the fixed topology or has a size below 1."""
+
+
 # --- training / evaluation ---
 
 class OverlappingUserSets(AnccoughError):

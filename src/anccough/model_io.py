@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CrcMismatch, TruncatedFile
+from .errors import BadMagic, CrcMismatch, InvalidSpec, TruncatedFile
 from .net import (
     Conv1d,
     Conv2d,
@@ -76,7 +76,7 @@ def _layer_from_record(kind: int, p0: int, p1: int, p2: int):
         return GlobalAvgPool()
     if kind == _KIND_DENSE:
         return Dense(out_features=p0)
-    raise ValueError(f"unknown layer kind {kind}")
+    raise InvalidSpec(f"unknown layer kind {kind}")
 
 
 def save_model(spec: ModelSpec, params: list[np.ndarray], path: str | Path) -> None:

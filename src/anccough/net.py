@@ -12,17 +12,16 @@ float64 when tests need finite-difference-grade precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import SUPPORTED_RATES, DualChannelWindow
-from .errors import ShapeMismatch, UnsupportedRate
+from .errors import InvalidSpec, ShapeMismatch, UnsupportedRate
 
 CLASS_SUBJECT = 0
 CLASS_OTHER = 1
-CLASS_NAMES = ("subject_cough", "other")
 
 BYTES_PER_VALUE = 4  # all persisted weights and activations are 32-bit reals
 
@@ -70,8 +69,9 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         _validate_structure(self.layers)
+        _validate_sizes(self.layers)
         if self.sample_rate_hz < 2 or self.sample_rate_hz % 2:
-            raise ValueError("sample rate must be a positive even integer")
+            raise InvalidSpec("sample rate must be a positive even integer")
 
     @property
     def input_len(self) -> int:
@@ -82,22 +82,32 @@ class ModelSpec:
         return (2, self.input_len)
 
 
+def _validate_sizes(layers: tuple[LayerSpec, ...]) -> None:
+    """Channels, kernel widths, strides, pool widths and features are all >= 1."""
+    for i, layer in enumerate(layers):
+        for field in fields(layer):
+            value = getattr(layer, field.name)
+            if min(value if isinstance(value, tuple) else (value,)) < 1:
+                raise InvalidSpec(f"layer {i} ({type(layer).__name__}): "
+                                  f"{field.name} {value} must be >= 1")
+
+
 def _validate_structure(layers: tuple[LayerSpec, ...]) -> None:
     """Enforce the fixed topology: 4 conv blocks, then 3 dense layers, 2 outputs."""
     dense_start = next((i for i, l in enumerate(layers) if isinstance(l, Dense)), None)
     if dense_start is None:
-        raise ValueError("spec has no dense layers")
+        raise InvalidSpec("spec has no dense layers")
     head, tail = layers[:dense_start], layers[dense_start:]
     if len(tail) != 3 or not all(isinstance(l, Dense) for l in tail):
-        raise ValueError("spec must end in exactly three dense layers")
+        raise InvalidSpec("spec must end in exactly three dense layers")
     if tail[-1].out_features != 2:
-        raise ValueError("final layer must have width 2")
+        raise InvalidSpec("final layer must have width 2")
     if not head or not isinstance(head[0], Conv2d):
-        raise ValueError("first layer must be the 2-D convolution")
+        raise InvalidSpec("first layer must be the 2-D convolution")
     if head[0].kernel[0] != 2:
-        raise ValueError("2-D convolution kernel height must equal 2")
+        raise InvalidSpec("2-D convolution kernel height must equal 2")
     if any(isinstance(l, Conv2d) for l in head[1:]):
-        raise ValueError("only the first layer may be a 2-D convolution")
+        raise InvalidSpec("only the first layer may be a 2-D convolution")
     blocks = 0
     convs_in_block = 0
     for layer in head:
@@ -105,15 +115,15 @@ def _validate_structure(layers: tuple[LayerSpec, ...]) -> None:
             convs_in_block += 1
         elif isinstance(layer, (MaxPool, GlobalAvgPool)):
             if convs_in_block == 0:
-                raise ValueError("pooling layer without preceding convolution")
+                raise InvalidSpec("pooling layer without preceding convolution")
             blocks += 1
             convs_in_block = 0
     if convs_in_block:
-        raise ValueError("trailing convolutions not closed by a pooling layer")
+        raise InvalidSpec("trailing convolutions not closed by a pooling layer")
     if blocks != 4:
-        raise ValueError(f"spec must have exactly 4 convolution blocks, got {blocks}")
+        raise InvalidSpec(f"spec must have exactly 4 convolution blocks, got {blocks}")
     if not isinstance(head[-1], GlobalAvgPool):
-        raise ValueError("the final convolution block must end in global average pooling")
+        raise InvalidSpec("the final convolution block must end in global average pooling")
 
 
 def default_spec(sample_rate_hz: int) -> ModelSpec:
@@ -304,49 +314,47 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 # full network forward / backward
 # ---------------------------------------------------------------------------
 
+def _layer_plan(spec: ModelSpec, params: list[np.ndarray]):
+    """(layer, its (W, b) or (), whether it is the output layer), in order."""
+    pi = 0
+    last = len(spec.layers) - 1
+    for i, layer in enumerate(spec.layers):
+        n = 2 if isinstance(layer, (Conv2d, Conv1d, Dense)) else 0
+        yield layer, params[pi:pi + n], i == last
+        pi += n
+
+
+def _layer_forward(layer: LayerSpec, h: np.ndarray, weights, is_last: bool):
+    """One layer on a batch; returns its output and what backward needs."""
+    if isinstance(layer, (Conv2d, Conv1d)):
+        w, b = weights
+        out, xp = _conv_forward(h, w, b, layer.stride)
+        mask = out > 0
+        out *= mask
+        return out, ("conv", xp, w, layer.stride, h.shape[2], mask)
+    if isinstance(layer, MaxPool):
+        out, argmax = _maxpool_forward(h, layer.width)
+        return out, ("pool", argmax, layer.width, h.shape[2])
+    if isinstance(layer, GlobalAvgPool):
+        return h.mean(axis=2), ("gap", h.shape[2])
+    w, b = weights
+    out = h @ w.T + b
+    mask = None
+    if not is_last:  # the output layer's logits go to the softmax unrectified
+        mask = out > 0
+        out *= mask
+    return out, ("dense", h, w, mask)
+
+
 def _run_forward(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray,
-                 keep_cache: bool, n_layers: int | None = None):
+                 keep_cache: bool):
     """Walk the layer graph; optionally record what backward needs."""
     cache: list[tuple] = []
     h = x
-    pi = 0
-    layers = spec.layers if n_layers is None else spec.layers[:n_layers]
-    last = len(spec.layers) - 1
-    for i, layer in enumerate(layers):
-        if isinstance(layer, (Conv2d, Conv1d)):
-            w, b = params[pi], params[pi + 1]
-            pi += 2
-            stride = layer.stride
-            in_len = h.shape[2]
-            out, xp = _conv_forward(h, w, b, stride)
-            mask = out > 0
-            out *= mask
-            if keep_cache:
-                cache.append(("conv", xp, w, stride, in_len, mask))
-            h = out
-        elif isinstance(layer, MaxPool):
-            in_len = h.shape[2]
-            out, argmax = _maxpool_forward(h, layer.width)
-            if keep_cache:
-                cache.append(("pool", argmax, layer.width, in_len))
-            h = out
-        elif isinstance(layer, GlobalAvgPool):
-            in_len = h.shape[2]
-            if keep_cache:
-                cache.append(("gap", in_len))
-            h = h.mean(axis=2)
-        elif isinstance(layer, Dense):
-            w, b = params[pi], params[pi + 1]
-            pi += 2
-            out = h @ w.T + b
-            if i != last:
-                mask = out > 0
-                out *= mask
-            else:
-                mask = None
-            if keep_cache:
-                cache.append(("dense", h, w, mask))
-            h = out
+    for layer, weights, is_last in _layer_plan(spec, params):
+        h, entry = _layer_forward(layer, h, weights, is_last)
+        if keep_cache:
+            cache.append(entry)
     return h, cache
 
 
@@ -433,26 +441,6 @@ def loss_and_grads(
     return loss, grads
 
 
-def backward(spec: ModelSpec, params: list[np.ndarray], window, label) -> tuple[list[np.ndarray], float]:
-    """Gradients and cross-entropy loss for a single labeled window.
-
-    label may be a class index or one of the names in CLASS_NAMES.
-    """
-    if isinstance(label, str):
-        label = CLASS_NAMES.index(label)
-    x = _as_input(spec, window, params[0].dtype)[None]
-    loss, grads = loss_and_grads(spec, params, x, np.array([label]))
-    return grads, loss
-
-
-def conv_features(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Last time-resolved feature map (the conv stack before global pooling)."""
-    gap_at = next(i for i, l in enumerate(spec.layers) if isinstance(l, GlobalAvgPool))
-    h, _ = _run_forward(spec, params, x.astype(params[0].dtype), keep_cache=False,
-                        n_layers=gap_at)
-    return h
-
-
 # ---------------------------------------------------------------------------
 # double-buffered executor
 # ---------------------------------------------------------------------------
@@ -462,8 +450,8 @@ def forward_arena(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[fl
 
     Demonstrates that one input buffer plus the largest consecutive pair of
     layer outputs is a sufficient activation budget: every layer writes its
-    output into whichever end of the arena its input does not occupy. Output
-    must match forward() within float tolerance.
+    output into whichever end of the arena its input does not occupy. Each
+    layer runs the same step as forward(), so the probabilities are identical.
     """
     from .profile import profile  # local import; profile depends on this module
 
@@ -474,40 +462,16 @@ def forward_arena(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[fl
         - int(np.prod(spec.input_shape))
     arena = np.empty(arena_floats, dtype=dtype)
 
-    x = _as_input(spec, window, dtype).copy()  # the dedicated input buffer
-    cur = x
+    cur = _as_input(spec, window, dtype)  # the dedicated input buffer
     cur_at_start = False  # input lives outside the arena; first output at start
     cur_len = 0
-    pi = 0
-    last = len(spec.layers) - 1
-    for i, layer in enumerate(spec.layers):
-        n_out = out_floats[i]
+    for (layer, weights, is_last), shape, n_out in zip(
+            _layer_plan(spec, params), shapes[1:], out_floats):
         assert cur_len + n_out <= arena_floats, "arena budget violated"
         view = arena[:n_out] if not cur_at_start else arena[arena_floats - n_out:]
-        out = view.reshape(shapes[i + 1])
-        if isinstance(layer, (Conv2d, Conv1d)):
-            w, b = params[pi], params[pi + 1]
-            pi += 2
-            k = w.shape[2]
-            pad = (k - 1) // 2
-            xp = np.pad(cur, ((0, 0), (pad, pad)))
-            win = sliding_window_view(xp, k, axis=1)[:, ::layer.stride, :]
-            np.einsum("ctk,ock->ot", win, w, optimize=True, out=out)
-            out += b[:, None]
-            np.maximum(out, 0, out=out)
-        elif isinstance(layer, MaxPool):
-            c, length = cur.shape
-            t = length // layer.width
-            cur[:, : t * layer.width].reshape(c, t, layer.width).max(axis=2, out=out)
-        elif isinstance(layer, GlobalAvgPool):
-            cur.mean(axis=1, out=out)
-        elif isinstance(layer, Dense):
-            w, b = params[pi], params[pi + 1]
-            pi += 2
-            np.matmul(w, cur, out=out)
-            out += b
-            if i != last:
-                np.maximum(out, 0, out=out)
+        out = view.reshape(shape)
+        batch_out, _ = _layer_forward(layer, cur[None], weights, is_last)
+        out[...] = batch_out[0]
         cur = out
         cur_len = n_out
         cur_at_start = not cur_at_start

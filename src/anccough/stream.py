@@ -3,8 +3,10 @@
 Consecutive windows whose subject probability clears the threshold coalesce
 into one detection event. A gap tolerance (default 0) lets a run survive that
 many negative windows, since back-to-back coughs may straddle a boundary.
-The incremental stepper produces exactly the event stream of the batch path
-and holds constant state regardless of stream length.
+The rule is one transition over (state, window start, probability): the
+incremental stepper applies it once per window and the batch path folds it
+over a whole recording, so both emit the same events. The state has constant
+size regardless of stream length.
 """
 
 from __future__ import annotations
@@ -44,60 +46,6 @@ def events_to_ndjson(events: list[DetectionEvent]) -> str:
     return "".join(e.to_json() + "\n" for e in events)
 
 
-def _merge_positive_runs(
-    probs: list[float],
-    starts: list[float],
-    window_s: float,
-    threshold: float,
-    gap_tolerance: int,
-) -> list[DetectionEvent]:
-    """Batch merge rule; the reference the streaming path must reproduce."""
-    events: list[DetectionEvent] = []
-    run_start = None
-    run_end = 0.0
-    run_sum = 0.0
-    run_count = 0
-    gap = 0
-    for p, start in zip(probs, starts):
-        if p >= threshold:
-            if run_start is None:
-                run_start = start
-            run_sum += p
-            run_count += 1
-            run_end = start + window_s
-            gap = 0
-        elif run_start is not None:
-            gap += 1
-            if gap > gap_tolerance:
-                events.append(DetectionEvent(run_start, run_end, run_sum / run_count, run_count))
-                run_start, run_sum, run_count, gap = None, 0.0, 0, 0
-    if run_start is not None:
-        events.append(DetectionEvent(run_start, run_end, run_sum / run_count, run_count))
-    return events
-
-
-def detect(
-    spec: net.ModelSpec,
-    params: list[np.ndarray],
-    rec: DualChannelRecording,
-    threshold: float = 0.5,
-    gap_tolerance: int = 0,
-) -> list[DetectionEvent]:
-    """Slice, normalize and score a whole recording, merging positive windows.
-
-    The recording must already be at the model's rate; decimate first.
-    """
-    if rec.sample_rate_hz != spec.sample_rate_hz:
-        raise RateMismatch(
-            f"recording at {rec.sample_rate_hz} Hz, model wants {spec.sample_rate_hz}"
-        )
-    windows = slice_windows(rec)
-    probs = [net.forward(spec, params, normalize(w))[0] for w in windows]
-    starts = [w.start_s for w in windows]
-    window_s = spec.input_len / spec.sample_rate_hz
-    return _merge_positive_runs(probs, starts, window_s, threshold, gap_tolerance)
-
-
 @dataclass(frozen=True)
 class DetectorState:
     """Constant-size progress record between streaming steps; JSON-serializable."""
@@ -125,6 +73,82 @@ class DetectorState:
     @classmethod
     def from_json(cls, text: str) -> "DetectorState":
         return cls(**json.loads(text))
+
+
+def _advance(
+    state: DetectorState,
+    start_s: float,
+    p: float,
+    window_s: float,
+    threshold: float,
+    gap_tolerance: int,
+) -> tuple[DetectorState, DetectionEvent | None]:
+    """The merge rule: fold one scored window into the run; emits the event a
+    negative window past the gap tolerance closes."""
+    end_s = start_s + window_s
+    if p >= threshold:
+        return DetectorState(
+            next_start_s=end_s,
+            run_start_s=start_s if state.run_start_s is None else state.run_start_s,
+            run_end_s=end_s,
+            run_prob_sum=state.run_prob_sum + p,
+            run_count=state.run_count + 1,
+        ), None
+    if state.run_start_s is None:
+        return replace(state, next_start_s=end_s), None
+    if state.gap_run + 1 > gap_tolerance:
+        return DetectorState(next_start_s=end_s), _close(state)
+    return replace(state, next_start_s=end_s, gap_run=state.gap_run + 1), None
+
+
+def _close(state: DetectorState) -> DetectionEvent | None:
+    """The event of the run open in state, if any."""
+    if state.run_start_s is None:
+        return None
+    return DetectionEvent(state.run_start_s, state.run_end_s,
+                          state.run_prob_sum / state.run_count, state.run_count)
+
+
+def _merge_positive_runs(
+    probs: list[float],
+    starts: list[float],
+    window_s: float,
+    threshold: float,
+    gap_tolerance: int,
+) -> list[DetectionEvent]:
+    """Fold the merge rule over a scored recording; the batch form of the stepper."""
+    state = DetectorState()
+    events: list[DetectionEvent] = []
+    for p, start in zip(probs, starts):
+        state, event = _advance(state, start, p, window_s, threshold, gap_tolerance)
+        if event is not None:
+            events.append(event)
+    event = _close(state)
+    if event is not None:
+        events.append(event)
+    return events
+
+
+def detect(
+    spec: net.ModelSpec,
+    params: list[np.ndarray],
+    rec: DualChannelRecording,
+    threshold: float = 0.5,
+    gap_tolerance: int = 0,
+) -> list[DetectionEvent]:
+    """Slice, normalize and score a whole recording, merging positive windows.
+
+    The recording must already be at the model's rate; decimate first.
+    """
+    if rec.sample_rate_hz != spec.sample_rate_hz:
+        raise RateMismatch(
+            f"recording at {rec.sample_rate_hz} Hz, model wants {spec.sample_rate_hz}"
+        )
+    windows = slice_windows(rec)
+    probs = [net.forward(spec, params, normalize(w))[0] for w in windows]
+    starts = [w.start_s for w in windows]
+    window_s = spec.input_len / spec.sample_rate_hz
+    return _merge_positive_runs(probs, starts, window_s, threshold, gap_tolerance)
 
 
 class StreamingDetector:
@@ -165,48 +189,9 @@ class StreamingDetector:
                 f"window starts at {window.start_s}, expected {state.next_start_s}"
             )
         p = net.forward(self.spec, self.params, normalize(window))[0]
-        next_start = window.start_s + self.window_s
-        if p >= self.threshold:
-            return (
-                replace(
-                    state,
-                    next_start_s=next_start,
-                    run_start_s=window.start_s if state.run_start_s is None else state.run_start_s,
-                    run_end_s=window.start_s + self.window_s,
-                    run_prob_sum=state.run_prob_sum + p,
-                    run_count=state.run_count + 1,
-                    gap_run=0,
-                ),
-                None,
-            )
-        if state.run_start_s is not None:
-            gap = state.gap_run + 1
-            if gap > self.gap_tolerance:
-                event = DetectionEvent(
-                    state.run_start_s,
-                    state.run_end_s,
-                    state.run_prob_sum / state.run_count,
-                    state.run_count,
-                )
-                return DetectorState(next_start_s=next_start), event
-            return replace(state, next_start_s=next_start, gap_run=gap), None
-        return replace(state, next_start_s=next_start), None
+        return _advance(state, window.start_s, p, self.window_s, self.threshold,
+                        self.gap_tolerance)
 
     def flush(self, state: DetectorState) -> tuple[DetectorState, DetectionEvent | None]:
         """Close any open run at end of stream; state returns to fresh."""
-        if state.run_start_s is not None:
-            event = DetectionEvent(
-                state.run_start_s,
-                state.run_end_s,
-                state.run_prob_sum / state.run_count,
-                state.run_count,
-            )
-            return DetectorState(), event
-        return DetectorState(), None
-
-
-def stream_state_step(
-    detector: StreamingDetector, state: DetectorState, next_window: DualChannelWindow
-) -> tuple[DetectorState, DetectionEvent | None]:
-    """Functional alias for StreamingDetector.step."""
-    return detector.step(state, next_window)
+        return DetectorState(), _close(state)

@@ -10,8 +10,6 @@ from anccough.augment import (
     gain,
     mix_background,
     pitch_shift,
-    plan_from_text,
-    plan_to_text,
     random_mask,
     speed,
     time_shift,
@@ -267,11 +265,6 @@ def test_load_noise_pool_from_directory(tmp_path):
     pool = load_noise_pool(tmp_path, 8000)
     assert len(pool) == 2 + 1  # 1 s at 48k -> 2 windows at 8k; 0.75 s -> 1
     assert all(w.data.shape == (2, 4000) for w in pool)
-
-
-def test_plan_text_round_trip():
-    plan = AugmentPlan(gain_db_range=(-3.0, 3.0), copies_per_clip=2, seed=5)
-    assert plan_from_text(plan_to_text(plan)) == plan
 
 
 def test_plan_validation():

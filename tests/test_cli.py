@@ -25,7 +25,7 @@ def test_synth_writes_manifest_and_run_config(tmp_path):
     manifest = read_manifest(out / "manifest.json")
     assert len(manifest.entries) == 30
     run_cfg = json.loads((out / "run_config.json").read_text())
-    assert run_cfg == {"command": "synth", "jobs": 1, "users": 1, "seed": 3}
+    assert run_cfg == {"command": "synth", "users": 1, "seed": 3}
 
 
 def test_synth_deterministic_trees(tmp_path):
@@ -159,3 +159,19 @@ def test_config_file_overrides_defaults(small_dataset, tmp_path):
     run_cfg = json.loads((tmp_path / "m.ecn1.run.json").read_text())
     assert run_cfg["epochs"] == 1
     assert run_cfg["seed"] == 9
+
+
+@pytest.mark.parametrize("config_text", [None, "seed=abc\n"],
+                         ids=["no-path", "untyped-value"])
+def test_bad_config_is_usage_error(tmp_path, config_text):
+    synth = ["synth", "--out", str(tmp_path / "ds")]
+    if config_text is None:
+        argv = synth + ["--config"]  # flag given last, without its path
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_text)
+        argv = ["--config", str(cfg_path)] + synth
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "ds").exists()

@@ -1,11 +1,14 @@
 """Model file format tests: bit-exact round trip and corruption rejection."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from anccough import net
-from anccough.errors import BadMagic, CrcMismatch, TruncatedFile
-from anccough.model_io import load_model, save_model
+from anccough.errors import AnccoughError, BadMagic, CrcMismatch, InvalidSpec, TruncatedFile
+from anccough.model_io import _HEADER_STRUCT, _LAYER_STRUCT, load_model, save_model
 
 
 @pytest.fixture()
@@ -75,6 +78,19 @@ def test_trailing_garbage_rejected(saved):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(TruncatedFile):
         load_model(path)
+
+
+@pytest.mark.parametrize("field,value", [(3, 0), (0, 9)], ids=["stride-0", "unknown-kind"])
+def test_invalid_layer_with_valid_crc_rejected(saved, field, value):
+    _, _, path = saved
+    raw = bytearray(path.read_bytes()[:-4])
+    record = list(_LAYER_STRUCT.unpack_from(raw, _HEADER_STRUCT.size))  # the 2-D conv
+    record[field] = value
+    _LAYER_STRUCT.pack_into(raw, _HEADER_STRUCT.size, *record)
+    path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+    with pytest.raises(InvalidSpec) as exc:
+        load_model(path)
+    assert isinstance(exc.value, AnccoughError) and isinstance(exc.value, ValueError)
 
 
 def test_empty_file(saved):

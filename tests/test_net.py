@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from anccough import net
-from anccough.errors import ShapeMismatch, UnsupportedRate
+from anccough.errors import InvalidSpec, ShapeMismatch, UnsupportedRate
 from anccough.net import (
     Conv1d,
     Dense,
+    GlobalAvgPool,
     MaxPool,
     ModelSpec,
     _conv_backward,
     _conv_forward,
+    _layer_forward,
+    _layer_plan,
     _maxpool_backward,
     _maxpool_forward,
     _run_forward,
@@ -52,8 +55,8 @@ def full_model_fd_check(spec, seed, probes_per_array=10):
     """Max relative FD error over sampled components; kink-guarded probes."""
     params, rng = _rand_params(spec, seed)
     x = rng.standard_normal(spec.input_shape)
-    label = int(rng.integers(0, 2))
-    grads, _ = net.backward(spec, params, x, label)
+    labels = np.array([rng.integers(0, 2)])
+    _, grads = net.loss_and_grads(spec, params, x[None], labels)
     sig0 = _activation_signature(spec, params, x)
     worst = 0.0
     for p, g in zip(params, grads):
@@ -65,10 +68,10 @@ def full_model_fd_check(spec, seed, probes_per_array=10):
             for eps in EPS_LADDER:
                 flat_p[j] = orig + eps
                 sig_p = _activation_signature(spec, params, x)
-                _, loss_p = net.backward(spec, params, x, label)
+                loss_p, _ = net.loss_and_grads(spec, params, x[None], labels)
                 flat_p[j] = orig - eps
                 sig_m = _activation_signature(spec, params, x)
-                _, loss_m = net.backward(spec, params, x, label)
+                loss_m, _ = net.loss_and_grads(spec, params, x[None], labels)
                 flat_p[j] = orig
                 if sig_p == sig0 and sig_m == sig0:
                     break
@@ -101,6 +104,13 @@ def test_spec_validation_rejects_bad_topologies():
         # five convolution blocks
         extra = (Conv1d(8), MaxPool(2))
         ModelSpec(8000, good.layers[:-3] + extra + good.layers[-3:])
+    # a size below 1 is rejected when the spec is built, not at its first forward
+    for at, bad in ((1, Conv1d(12, stride=0)), (1, Conv1d(12, kernel=0)), (1, Conv1d(0)),
+                    (2, MaxPool(0)), (-3, Dense(0))):
+        layers = list(good.layers)
+        layers[at] = bad
+        with pytest.raises(InvalidSpec):
+            ModelSpec(8000, tuple(layers))
 
 
 def test_param_count_matches_closed_form():
@@ -161,9 +171,7 @@ def test_forward_arena_matches_plain():
         params = net.init_params(spec, seed=7)
         x = np.random.default_rng(3).standard_normal(spec.input_shape).astype(np.float32)
         plain = net.forward(spec, params, x)
-        arena = net.forward_arena(spec, params, x)
-        assert abs(plain[0] - arena[0]) < 1e-6
-        assert abs(plain[1] - arena[1]) < 1e-6
+        assert net.forward_arena(spec, params, x) == plain
 
 
 # --- loss / gradient closed forms ---
@@ -172,7 +180,7 @@ def test_loss_at_zero_params_is_ln2():
     spec = net.reduced_spec(64)
     params = net.zero_params(spec, dtype=np.float64)
     x = np.random.default_rng(4).standard_normal(spec.input_shape)
-    _, loss = net.backward(spec, params, x, "subject_cough")
+    loss, _ = net.loss_and_grads(spec, params, x[None], np.array([net.CLASS_SUBJECT]))
     assert abs(loss - np.log(2)) < 1e-9
 
 
@@ -180,9 +188,9 @@ def test_final_bias_gradient_at_zero_params():
     spec = net.reduced_spec(64)
     params = net.zero_params(spec, dtype=np.float64)
     x = np.random.default_rng(5).standard_normal(spec.input_shape)
-    grads, _ = net.backward(spec, params, x, "subject_cough")
+    _, grads = net.loss_and_grads(spec, params, x[None], np.array([net.CLASS_SUBJECT]))
     assert np.allclose(grads[-1], [-0.5, 0.5])
-    grads, _ = net.backward(spec, params, x, "other")
+    _, grads = net.loss_and_grads(spec, params, x[None], np.array([net.CLASS_OTHER]))
     assert np.allclose(grads[-1], [0.5, -0.5])
 
 
@@ -286,6 +294,16 @@ def test_full_model_gradients_ten_seeds():
 
 # --- structural properties ---
 
+def _features_before_gap(spec, params, x):
+    """Last time-resolved feature map: the layer steps up to global pooling."""
+    h = x
+    for layer, weights, is_last in _layer_plan(spec, params):
+        if isinstance(layer, GlobalAvgPool):
+            return h
+        h, _ = _layer_forward(layer, h, weights, is_last)
+    raise AssertionError("spec has no global average pooling")
+
+
 def test_translation_consistency_of_conv_features():
     """Shifting the input by the total stride period shifts pre-dense features."""
     spec = net.default_spec(8000)
@@ -294,8 +312,8 @@ def test_translation_consistency_of_conv_features():
     x = rng.standard_normal((1, 2, 4000)).astype(np.float32)
     period = 2 * 4 * 4 * 4  # conv stride times the three pool widths
     shifted = np.roll(x, period, axis=2)
-    f0 = net.conv_features(spec, params, x)[0]
-    f1 = net.conv_features(spec, params, shifted)[0]
+    f0 = _features_before_gap(spec, params, x)[0]
+    f1 = _features_before_gap(spec, params, shifted)[0]
     margin = 12  # receptive-field spillover at the edges
     inner0 = f0[:, margin:-margin]
     inner1 = np.roll(f1, -1, axis=1)[:, margin:-margin]

@@ -14,7 +14,6 @@ from anccough.stream import (
     _merge_positive_runs,
     detect,
     events_to_ndjson,
-    stream_state_step,
 )
 from conftest import make_recording
 
@@ -131,14 +130,14 @@ def test_batch_stream_equivalence_with_gap_tolerance():
         assert run_stream(detector, rec) == detect(spec, params, rec, gap_tolerance=1)
 
 
-def test_stream_state_step_alias():
+def test_step_advances_expected_start():
     spec = net.default_spec(8000)
     params = net.init_params(spec, seed=5)
     detector = StreamingDetector(spec, params)
     rec = toy_rec(7, duration_s=2.0)
     wins = slice_windows(rec)
     state = detector.new_state()
-    state, _ = stream_state_step(detector, state, wins[0])
+    state, _ = detector.step(state, wins[0])
     assert state.next_start_s == pytest.approx(0.5)
 
 
