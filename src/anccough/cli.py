@@ -266,14 +266,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     if at == len(argv):
         parser.error("argument --config: expected one argument")
     path = argv[at]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"--config: cannot read {path}: {exc}")
     overrides = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
         overrides[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
+    subparsers = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+    known = {a.dest for p in subparsers for a in p._actions}  # noqa: SLF001
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        parser.error(f"--config: {path}: no flag takes {', '.join(unknown)}")
+    for action in subparsers:
         typed = {}
         for a in action._actions:  # noqa: SLF001
             if a.dest in overrides:

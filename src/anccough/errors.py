@@ -72,7 +72,12 @@ class TruncatedFile(AnccoughError):
 
 
 class InvalidSpec(AnccoughError, ValueError):
-    """Layer graph breaks the fixed topology or has a size below 1."""
+    """Layer graph breaks the fixed topology, has a size below 1, or shrinks an
+    activation to length 0."""
+
+
+class UnsupportedVersion(AnccoughError, ValueError):
+    """Model file declares a format version this reader does not know."""
 
 
 # --- training / evaluation ---

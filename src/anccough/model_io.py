@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CrcMismatch, InvalidSpec, TruncatedFile
+from .errors import BadMagic, CrcMismatch, InvalidSpec, TruncatedFile, UnsupportedVersion
 from .net import (
     Conv1d,
     Conv2d,
@@ -104,16 +104,22 @@ def load_model(path: str | Path) -> tuple[ModelSpec, list[np.ndarray]]:
         raise TruncatedFile(f"{path}: header incomplete")
     _, version, _, rate, n_layers = _HEADER_STRUCT.unpack_from(raw, 0)
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
+        raise UnsupportedVersion(f"{path}: unsupported format version {version}")
 
     pos = _HEADER_STRUCT.size
     layers = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         if pos + _LAYER_STRUCT.size > len(raw):
             raise TruncatedFile(f"{path}: layer table incomplete")
-        layers.append(_layer_from_record(*_LAYER_STRUCT.unpack_from(raw, pos)))
+        try:
+            layers.append(_layer_from_record(*_LAYER_STRUCT.unpack_from(raw, pos)))
+        except InvalidSpec as exc:
+            raise InvalidSpec(f"{path}: layer {i} at offset {pos}: {exc}") from exc
         pos += _LAYER_STRUCT.size
-    spec = ModelSpec(sample_rate_hz=rate, layers=tuple(layers))
+    try:
+        spec = ModelSpec(sample_rate_hz=rate, layers=tuple(layers))
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{path}: {exc}") from exc
 
     shapes = param_shapes(spec)
     weight_bytes = sum(int(np.prod(s)) for s in shapes) * 4

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import SUPPORTED_RATES, DualChannelWindow
 from .errors import InvalidSpec, ShapeMismatch, UnsupportedRate
@@ -72,6 +71,7 @@ class ModelSpec:
         _validate_sizes(self.layers)
         if self.sample_rate_hz < 2 or self.sample_rate_hz % 2:
             raise InvalidSpec("sample rate must be a positive even integer")
+        _validate_lengths(self)
 
     @property
     def input_len(self) -> int:
@@ -90,6 +90,14 @@ def _validate_sizes(layers: tuple[LayerSpec, ...]) -> None:
             if min(value if isinstance(value, tuple) else (value,)) < 1:
                 raise InvalidSpec(f"layer {i} ({type(layer).__name__}): "
                                   f"{field.name} {value} must be >= 1")
+
+
+def _validate_lengths(spec: ModelSpec) -> None:
+    """No layer may shrink the time axis to nothing."""
+    for i, (layer, shape) in enumerate(zip(spec.layers, activation_shapes(spec)[1:])):
+        if len(shape) == 2 and shape[1] < 1:
+            raise InvalidSpec(f"layer {i} ({type(layer).__name__}): output length "
+                              f"{shape[1]} must be >= 1")
 
 
 def _validate_structure(layers: tuple[LayerSpec, ...]) -> None:
@@ -261,46 +269,82 @@ def validate_params(spec: ModelSpec, params: list[np.ndarray]) -> None:
 # layer kernels (batch-first)
 # ---------------------------------------------------------------------------
 
+# Both conv kernels loop over the kernel's taps with one gemm per window per
+# tap, so a window's output does not depend on the batch it is computed in.
+
+def _stride_phases(xp: np.ndarray, stride: int) -> list[np.ndarray]:
+    """The padded input as `stride` contiguous phases, phase r = xp[..., r::stride].
+
+    Tap j reads phase j % stride from offset j // stride with unit step, a
+    slice numpy hands to BLAS (a strided operand would fall back to numpy's
+    own, much slower loop). At stride 1 the one phase is xp itself.
+    """
+    return [np.ascontiguousarray(xp[:, :, r::stride]) for r in range(stride)]
+
+
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
+    """out = b + sum over taps j of w[:, :, j] @ xp[:, :, j::stride]; returns (out, xp)."""
     n, c, length = x.shape
     k = w.shape[2]
     pad = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    win = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    out = np.einsum("nclk,ock->nol", win, w, optimize=True)
+    t = _conv_out_len(length, k, stride)
+    phases = _stride_phases(xp, stride)
+    w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (k, out, in)
+    out = np.empty((n, w.shape[0], t), dtype=np.result_type(x, w))
+    prod = np.empty_like(out)
+    for j in range(k):
+        at = j // stride
+        xs = phases[j % stride][:, :, at:at + t]
+        np.matmul(w_taps[j], xs, out=prod if j else out)
+        if j:
+            out += prod
     out += b[None, :, None]
     return out, xp
 
 
 def _conv_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, in_len: int):
-    n, out_ch, t = dout.shape
+    """Per-tap transposes of the forward products: dw[:, :, j] sums
+    dout @ xs_j.T over the batch, and w[:, :, j].T @ dout lands on the input
+    positions tap j read."""
+    t = dout.shape[2]
     k = w.shape[2]
     pad = (k - 1) // 2
-    win = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    dw = np.einsum("not,nctk->ock", dout, win, optimize=True)
-    db = dout.sum(axis=(0, 2))
-    dxp = np.zeros_like(xp)
-    span = stride * (t - 1) + 1
-    for tap in range(k):
-        contrib = np.tensordot(dout, w[:, :, tap], axes=([1], [0]))  # (n, t, c)
-        dxp[:, :, tap:tap + span:stride] += contrib.transpose(0, 2, 1)
-    return dxp[:, :, pad:pad + in_len], dw, db
+    phases = _stride_phases(xp, stride)
+    dphases = [np.zeros_like(ph) for ph in phases]
+    w_taps_t = np.ascontiguousarray(w.transpose(2, 1, 0))  # (k, in, out)
+    dw = np.empty_like(w)
+    for j in range(k):
+        at = j // stride
+        xs = phases[j % stride][:, :, at:at + t]
+        dw[:, :, j] = np.matmul(dout, xs.transpose(0, 2, 1)).sum(axis=0)
+        dphases[j % stride][:, :, at:at + t] += np.matmul(w_taps_t[j], dout)
+    dxp = np.empty_like(xp)
+    for r, dph in enumerate(dphases):
+        dxp[:, :, r::stride] = dph
+    return dxp[:, :, pad:pad + in_len], dw, dout.sum(axis=(0, 2))
 
 
 def _maxpool_forward(x: np.ndarray, width: int):
-    n, c, length = x.shape
-    t = length // width
-    xr = x[:, :, : t * width].reshape(n, c, t, width)
-    argmax = xr.argmax(axis=3)
-    return xr.max(axis=3), argmax
+    """Max over each run of `width` samples and the offset of its first maximum,
+    as `width` elementwise passes (a reduction over a 4-long axis runs an
+    inner loop per output element, several times slower)."""
+    t = x.shape[2] // width
+    out = x[:, :, 0:t * width:width].copy()
+    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1))
+    for j in range(1, width):
+        v = x[:, :, j:t * width:width]
+        # offsets only grow, so a max keeps the first of equal maxima
+        np.maximum(argmax, (v > out) * argmax.dtype.type(j), out=argmax)
+        np.maximum(out, v, out=out)
+    return out, argmax
 
 
 def _maxpool_backward(dout: np.ndarray, argmax: np.ndarray, width: int, in_len: int):
     n, c, t = dout.shape
-    dxr = np.zeros((n, c, t, width), dtype=dout.dtype)
-    np.put_along_axis(dxr, argmax[..., None], dout[..., None], axis=3)
     dx = np.zeros((n, c, in_len), dtype=dout.dtype)
-    dx[:, :, : t * width] = dxr.reshape(n, c, t * width)
+    for j in range(width):
+        dx[:, :, j:t * width:width] = dout * (argmax == j)
     return dx
 
 
@@ -338,7 +382,8 @@ def _layer_forward(layer: LayerSpec, h: np.ndarray, weights, is_last: bool):
     if isinstance(layer, GlobalAvgPool):
         return h.mean(axis=2), ("gap", h.shape[2])
     w, b = weights
-    out = h @ w.T + b
+    # a stacked product (one row at a time) rounds alike at every batch size
+    out = np.matmul(h[:, None, :], w.T)[:, 0] + b
     mask = None
     if not is_last:  # the output layer's logits go to the softmax unrectified
         mask = out > 0

@@ -161,17 +161,23 @@ def test_config_file_overrides_defaults(small_dataset, tmp_path):
     assert run_cfg["seed"] == 9
 
 
-@pytest.mark.parametrize("config_text", [None, "seed=abc\n"],
-                         ids=["no-path", "untyped-value"])
-def test_bad_config_is_usage_error(tmp_path, config_text):
+_MISSING = object()  # --config names a file that does not exist
+
+
+@pytest.mark.parametrize("config_text", [None, "seed=abc\n", _MISSING, "seed=1\nbogus-key=3\n"],
+                         ids=["no-path", "untyped-value", "missing-file", "unknown-key"])
+def test_bad_config_is_usage_error(tmp_path, capsys, config_text):
     synth = ["synth", "--out", str(tmp_path / "ds")]
     if config_text is None:
         argv = synth + ["--config"]  # flag given last, without its path
     else:
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(config_text)
+        if config_text is not _MISSING:
+            cfg_path.write_text(config_text)
         argv = ["--config", str(cfg_path)] + synth
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert not (tmp_path / "ds").exists()
+    if config_text == "seed=1\nbogus-key=3\n":
+        assert "bogus_key" in capsys.readouterr().err

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from anccough import net
-from anccough.errors import AnccoughError, BadMagic, CrcMismatch, InvalidSpec, TruncatedFile
+from anccough.errors import (
+    AnccoughError,
+    BadMagic,
+    CrcMismatch,
+    InvalidSpec,
+    TruncatedFile,
+    UnsupportedVersion,
+)
 from anccough.model_io import _HEADER_STRUCT, _LAYER_STRUCT, load_model, save_model
 
 
@@ -80,17 +87,50 @@ def test_trailing_garbage_rejected(saved):
         load_model(path)
 
 
+def _rewrite_with_crc(path, edit):
+    """Apply edit(raw) to the body of a model file and store a matching CRC."""
+    raw = bytearray(path.read_bytes()[:-4])
+    edit(raw)
+    path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+
+
+def _set_layer_field(layer, field, value):
+    def edit(raw):
+        at = _HEADER_STRUCT.size + layer * _LAYER_STRUCT.size
+        record = list(_LAYER_STRUCT.unpack_from(raw, at))
+        record[field] = value
+        _LAYER_STRUCT.pack_into(raw, at, *record)
+    return edit
+
+
 @pytest.mark.parametrize("field,value", [(3, 0), (0, 9)], ids=["stride-0", "unknown-kind"])
 def test_invalid_layer_with_valid_crc_rejected(saved, field, value):
     _, _, path = saved
-    raw = bytearray(path.read_bytes()[:-4])
-    record = list(_LAYER_STRUCT.unpack_from(raw, _HEADER_STRUCT.size))  # the 2-D conv
-    record[field] = value
-    _LAYER_STRUCT.pack_into(raw, _HEADER_STRUCT.size, *record)
-    path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+    _rewrite_with_crc(path, _set_layer_field(0, field, value))  # the 2-D conv
     with pytest.raises(InvalidSpec) as exc:
         load_model(path)
     assert isinstance(exc.value, AnccoughError) and isinstance(exc.value, ValueError)
+    assert str(path) in str(exc.value) and "layer 0" in str(exc.value)
+
+
+@pytest.mark.parametrize("layer,field,value", [(3, 3, 0), (5, 0, 9), (2, 1, 5000)],
+                         ids=["stride-0", "unknown-kind", "pool-empties-activation"])
+def test_layer_table_error_names_file_and_layer(saved, layer, field, value):
+    _, _, path = saved
+    _rewrite_with_crc(path, _set_layer_field(layer, field, value))
+    with pytest.raises(InvalidSpec) as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
+    assert f"layer {layer}" in str(exc.value)
+
+
+def test_unsupported_version_is_typed(saved):
+    _, _, path = saved
+    _rewrite_with_crc(path, lambda raw: struct.pack_into("<H", raw, 4, 2))
+    with pytest.raises(UnsupportedVersion) as exc:
+        load_model(path)
+    assert isinstance(exc.value, AnccoughError) and isinstance(exc.value, ValueError)
+    assert str(path) in str(exc.value) and "version 2" in str(exc.value)
 
 
 def test_empty_file(saved):

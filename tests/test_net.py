@@ -104,7 +104,12 @@ def test_spec_validation_rejects_bad_topologies():
         # five convolution blocks
         extra = (Conv1d(8), MaxPool(2))
         ModelSpec(8000, good.layers[:-3] + extra + good.layers[-3:])
-    # a size below 1 is rejected when the spec is built, not at its first forward
+    # a size below 1, or a layer that shrinks the time axis to nothing, is
+    # rejected when the spec is built, not at its first forward
+    layers = list(good.layers)
+    layers[2] = MaxPool(5000)
+    with pytest.raises(InvalidSpec, match="layer 2 .*length 0"):
+        ModelSpec(8000, tuple(layers))
     for at, bad in ((1, Conv1d(12, stride=0)), (1, Conv1d(12, kernel=0)), (1, Conv1d(0)),
                     (2, MaxPool(0)), (-3, Dense(0))):
         layers = list(good.layers)
@@ -212,11 +217,22 @@ def _fd_on(x, loss_fn, grad, eps=1e-6, probes=50, seed=0):
     return worst
 
 
-@pytest.mark.parametrize("stride,in_ch", [(1, 3), (2, 2)])
-def test_conv_layer_gradients(stride, in_ch):
+# (stride, input channels, kernel width, input length); the first two keep
+# their historical ids
+CONV_SHAPES = [
+    pytest.param(1, 3, 5, 20, id="1-3"),
+    pytest.param(2, 2, 5, 20, id="2-2"),
+    pytest.param(1, 3, 4, 20, id="even-kernel"),
+    pytest.param(3, 2, 5, 20, id="stride-3-ragged"),
+    pytest.param(1, 1, 5, 20, id="one-channel"),
+]
+
+
+@pytest.mark.parametrize("stride,in_ch,k,length", CONV_SHAPES)
+def test_conv_layer_gradients(stride, in_ch, k, length):
     rng = np.random.default_rng(10 + stride)
-    x = rng.standard_normal((2, in_ch, 20))
-    w = rng.standard_normal((4, in_ch, 5))
+    x = rng.standard_normal((2, in_ch, length))
+    w = rng.standard_normal((4, in_ch, k))
     b = rng.standard_normal(4)
     out, _ = _conv_forward(x, w, b, stride)
     dout = rng.standard_normal(out.shape)
@@ -227,9 +243,34 @@ def test_conv_layer_gradients(stride, in_ch):
 
     _, xp = _conv_forward(x, w, b, stride)
     dx, dw, db = _conv_backward(dout, xp, w, stride, x.shape[2])
+    assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
     assert _fd_on(x, loss, dx) < 1e-4
     assert _fd_on(w, loss, dw) < 1e-4
     assert _fd_on(b, loss, db) < 1e-4
+
+
+@pytest.mark.parametrize("stride,in_ch,k,length", CONV_SHAPES)
+def test_conv_forward_matches_naive_loop(stride, in_ch, k, length):
+    rng = np.random.default_rng(50 + k)
+    x = rng.standard_normal((3, in_ch, length))
+    w = rng.standard_normal((4, in_ch, k))
+    b = rng.standard_normal(4)
+    pad = (k - 1) // 2
+    t = (length + 2 * pad - k) // stride + 1
+    expect = np.empty((3, 4, t))
+    for n in range(3):
+        for o in range(4):
+            for p in range(t):
+                acc = b[o]
+                for c in range(in_ch):
+                    for tap in range(k):
+                        i = p * stride + tap - pad
+                        if 0 <= i < length:
+                            acc += w[o, c, tap] * x[n, c, i]
+                expect[n, o, p] = acc
+    out, _ = _conv_forward(x, w, b, stride)
+    assert out.shape == expect.shape
+    assert np.abs(out - expect).max() < 1e-10
 
 
 def test_maxpool_gradients():
@@ -245,6 +286,18 @@ def test_maxpool_gradients():
     _, am = _maxpool_forward(x, 4)
     dx = _maxpool_backward(dout, am, 4, x.shape[2])
     assert _fd_on(x, loss, dx) < 1e-4
+
+
+def test_maxpool_matches_reduction_and_keeps_first_of_ties():
+    rng = np.random.default_rng(21)
+    x = np.maximum(rng.standard_normal((3, 4, 23)), 0)  # rectified: many tied zeros
+    x[0, 0, 4:8] = 0.5  # a run of equal positive maxima
+    for width in (1, 2, 4, 5):
+        t = x.shape[2] // width
+        xr = x[:, :, :t * width].reshape(3, 4, t, width)
+        out, argmax = _maxpool_forward(x, width)
+        assert np.array_equal(out, xr.max(axis=3))
+        assert np.array_equal(argmax, xr.argmax(axis=3))
 
 
 def test_gap_and_dense_gradients():
@@ -330,3 +383,21 @@ def test_batched_forward_matches_single():
         p0, p1 = net.forward(spec, params, xs[i])
         assert abs(batch[i, 0] - p0) < 1e-5
         assert abs(batch[i, 1] - p1) < 1e-5
+
+
+@pytest.mark.parametrize("spec", [net.reduced_spec(64), net.default_spec(8000)],
+                         ids=["reduced", "8k"])
+def test_probabilities_are_batch_invariant(spec):
+    """A window scores bit-identically alone, in a batch, and at any chunking."""
+    params = net.init_params(spec, seed=17)
+    for i in range(1, len(params), 2):  # nonzero biases, so every term counts
+        params[i] = np.random.default_rng(i).normal(0.0, 0.05, params[i].shape).astype(np.float32)
+    xs = np.random.default_rng(8).standard_normal((300,) + spec.input_shape).astype(np.float32)
+    batch = net.forward_batch(spec, params, xs[:16])
+    chunked = {b: net.predict_probs(spec, params, xs, batch_size=b) for b in (1, 7, 256)}
+    for i in (0, 1, 6, 7, 15, 255, 256, 299):
+        single = np.array(net.forward(spec, params, xs[i]))
+        if i < 16:
+            assert np.array_equal(batch[i], single)
+        for probs in chunked.values():
+            assert np.array_equal(probs[i], single)
