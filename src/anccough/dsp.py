@@ -13,7 +13,7 @@ import numpy as np
 from scipy.signal import oaconvolve
 
 from . import wavio
-from .errors import NonIntegerFactor, NotStereo, UnsupportedRate
+from .errors import NonFiniteSamples, NonIntegerFactor, NotStereo, UnsupportedRate
 
 SUPPORTED_RATES = (8000, 16000, 24000, 48000)
 
@@ -91,6 +91,9 @@ def load_recording(path: str | Path) -> DualChannelRecording:
         raise NotStereo(f"{path}: {frames.shape[1]} channels, need 2")
     if rate not in SUPPORTED_RATES:
         raise UnsupportedRate(f"{path}: rate {rate} not in {SUPPORTED_RATES}")
+    if not np.isfinite(frames).all():
+        frame = int(np.argmin(np.isfinite(frames).all(axis=1)))
+        raise NonFiniteSamples(f"{path}: frame {frame} holds a non-finite sample")
     return DualChannelRecording(
         samples_ff=frames[:, 0],
         samples_fb=frames[:, 1],

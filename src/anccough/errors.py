@@ -23,6 +23,10 @@ class UnsupportedRate(AnccoughError):
     """Sample rate outside the supported set."""
 
 
+class NonFiniteSamples(AnccoughError, ValueError):
+    """Audio file holds a NaN or infinite sample."""
+
+
 # --- signal path ---
 
 class NonIntegerFactor(AnccoughError):

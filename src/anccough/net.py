@@ -24,6 +24,12 @@ CLASS_OTHER = 1
 
 BYTES_PER_VALUE = 4  # all persisted weights and activations are 32-bit reals
 
+# predict_probs' default chunk: bytes of the largest layer activation over all
+# windows of a chunk (8 windows at 8 kHz, 4 at 16, 2 at 24, 1 at 48 kHz).
+# Swept on a 2-core Xeon with 2 MiB of L2 per core: 0.5-1.1 MiB chunks scored
+# fastest at every rate, and 256 windows at 8 kHz took twice as long.
+CHUNK_BYTES = 3 << 18
+
 
 @dataclass(frozen=True)
 class Conv2d:
@@ -287,7 +293,12 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
     n, c, length = x.shape
     k = w.shape[2]
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    # np.empty plus zeroed edges: np.pad costs more in call overhead than the
+    # copy, and np.zeros would page-fault a fresh buffer that is then overwritten
+    xp = np.empty((n, c, length + 2 * pad), dtype=x.dtype)
+    xp[:, :, :pad] = 0
+    xp[:, :, pad + length:] = 0
+    xp[:, :, pad:pad + length] = x
     t = _conv_out_len(length, k, stride)
     phases = _stride_phases(xp, stride)
     w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (k, out, in)
@@ -303,39 +314,47 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
     return out, xp
 
 
-def _conv_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, in_len: int):
+def _conv_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, in_len: int,
+                   need_dx: bool = True):
     """Per-tap transposes of the forward products: dw[:, :, j] sums
     dout @ xs_j.T over the batch, and w[:, :, j].T @ dout lands on the input
-    positions tap j read."""
+    positions tap j read. Without `need_dx` the input gradient is None."""
     t = dout.shape[2]
     k = w.shape[2]
     pad = (k - 1) // 2
     phases = _stride_phases(xp, stride)
-    dphases = [np.zeros_like(ph) for ph in phases]
-    w_taps_t = np.ascontiguousarray(w.transpose(2, 1, 0))  # (k, in, out)
     dw = np.empty_like(w)
     for j in range(k):
         at = j // stride
         xs = phases[j % stride][:, :, at:at + t]
         dw[:, :, j] = np.matmul(dout, xs.transpose(0, 2, 1)).sum(axis=0)
+    db = dout.sum(axis=(0, 2))
+    if not need_dx:
+        return None, dw, db
+    dphases = [np.zeros_like(ph) for ph in phases]
+    w_taps_t = np.ascontiguousarray(w.transpose(2, 1, 0))  # (k, in, out)
+    for j in range(k):
+        at = j // stride
         dphases[j % stride][:, :, at:at + t] += np.matmul(w_taps_t[j], dout)
     dxp = np.empty_like(xp)
     for r, dph in enumerate(dphases):
         dxp[:, :, r::stride] = dph
-    return dxp[:, :, pad:pad + in_len], dw, dout.sum(axis=(0, 2))
+    return dxp[:, :, pad:pad + in_len], dw, db
 
 
-def _maxpool_forward(x: np.ndarray, width: int):
-    """Max over each run of `width` samples and the offset of its first maximum,
-    as `width` elementwise passes (a reduction over a 4-long axis runs an
-    inner loop per output element, several times slower)."""
+def _maxpool_forward(x: np.ndarray, width: int, with_argmax: bool = True):
+    """Max over each run of `width` samples and the offset of its first maximum
+    (None without `with_argmax`), as `width` elementwise passes (a reduction
+    over a 4-long axis runs an inner loop per output element, several times
+    slower)."""
     t = x.shape[2] // width
     out = x[:, :, 0:t * width:width].copy()
-    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1))
+    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1)) if with_argmax else None
     for j in range(1, width):
         v = x[:, :, j:t * width:width]
-        # offsets only grow, so a max keeps the first of equal maxima
-        np.maximum(argmax, (v > out) * argmax.dtype.type(j), out=argmax)
+        if with_argmax:
+            # offsets only grow, so a max keeps the first of equal maxima
+            np.maximum(argmax, (v > out) * argmax.dtype.type(j), out=argmax)
         np.maximum(out, v, out=out)
     return out, argmax
 
@@ -368,8 +387,13 @@ def _layer_plan(spec: ModelSpec, params: list[np.ndarray]):
         pi += n
 
 
-def _layer_forward(layer: LayerSpec, h: np.ndarray, weights, is_last: bool):
-    """One layer on a batch; returns its output and what backward needs."""
+def _layer_forward(layer: LayerSpec, h: np.ndarray, weights, is_last: bool,
+                   keep_cache: bool = True):
+    """One layer on a batch; returns its output and what backward needs.
+
+    Without `keep_cache` no backward follows, so max-pooling skips the offsets
+    of its maxima (two thirds of its time).
+    """
     if isinstance(layer, (Conv2d, Conv1d)):
         w, b = weights
         out, xp = _conv_forward(h, w, b, layer.stride)
@@ -377,7 +401,7 @@ def _layer_forward(layer: LayerSpec, h: np.ndarray, weights, is_last: bool):
         out *= mask
         return out, ("conv", xp, w, layer.stride, h.shape[2], mask)
     if isinstance(layer, MaxPool):
-        out, argmax = _maxpool_forward(h, layer.width)
+        out, argmax = _maxpool_forward(h, layer.width, with_argmax=keep_cache)
         return out, ("pool", argmax, layer.width, h.shape[2])
     if isinstance(layer, GlobalAvgPool):
         return h.mean(axis=2), ("gap", h.shape[2])
@@ -397,37 +421,40 @@ def _run_forward(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray,
     cache: list[tuple] = []
     h = x
     for layer, weights, is_last in _layer_plan(spec, params):
-        h, entry = _layer_forward(layer, h, weights, is_last)
+        h, entry = _layer_forward(layer, h, weights, is_last, keep_cache)
         if keep_cache:
             cache.append(entry)
     return h, cache
 
 
-def _run_backward(params: list[np.ndarray], cache: list[tuple], dh: np.ndarray):
+def _run_backward(cache: list[tuple], dh: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients, in parameter order; the network input's gradient
+    is never needed, so the first layer skips it."""
     grads: list[np.ndarray] = []
-    for entry in reversed(cache):
+    for i in range(len(cache) - 1, -1, -1):
+        entry = cache[i]
         kind = entry[0]
         if kind == "conv":
             _, xp, w, stride, in_len, mask = entry
-            dh = dh * mask
-            dh, dw, db = _conv_backward(dh, xp, w, stride, in_len)
+            dh *= mask
+            dh, dw, db = _conv_backward(dh, xp, w, stride, in_len, need_dx=i > 0)
             grads += [db, dw]
         elif kind == "pool":
             _, argmax, width, in_len = entry
             dh = _maxpool_backward(dh, argmax, width, in_len)
         elif kind == "gap":
             _, in_len = entry
-            dh = np.repeat(dh[:, :, None], in_len, axis=2) / in_len
+            dh = np.repeat(dh[:, :, None] / in_len, in_len, axis=2)
         elif kind == "dense":
             _, h_in, w, mask = entry
             if mask is not None:
-                dh = dh * mask
+                dh *= mask
             dw = dh.T @ h_in
             db = dh.sum(axis=0)
             dh = dh @ w
             grads += [db, dw]
     grads.reverse()
-    return grads, dh
+    return grads
 
 
 def _as_input(spec: ModelSpec, window, dtype) -> np.ndarray:
@@ -454,8 +481,16 @@ def forward_batch(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> n
 
 
 def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray,
-                  batch_size: int = 256) -> np.ndarray:
-    """Chunked forward_batch, keeping intermediate activations bounded."""
+                  batch_size: int | None = None) -> np.ndarray:
+    """Chunked forward_batch, keeping intermediate activations bounded.
+
+    By default a chunk holds as many windows as fit CHUNK_BYTES of the
+    largest layer activation, so each layer's working set stays cache-sized.
+    Scores do not depend on the chunking.
+    """
+    if batch_size is None:
+        largest = max(int(np.prod(s)) for s in activation_shapes(spec))
+        batch_size = max(1, CHUNK_BYTES // (largest * params[0].dtype.itemsize))
     outs = [forward_batch(spec, params, x[i:i + batch_size])
             for i in range(0, len(x), batch_size)]
     return np.concatenate(outs, axis=0)
@@ -482,7 +517,7 @@ def loss_and_grads(
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits *= weights[:, None]
-    grads, _ = _run_backward(params, cache, dlogits.astype(probs.dtype))
+    grads = _run_backward(cache, dlogits.astype(probs.dtype))
     return loss, grads
 
 
@@ -515,7 +550,7 @@ def forward_arena(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[fl
         assert cur_len + n_out <= arena_floats, "arena budget violated"
         view = arena[:n_out] if not cur_at_start else arena[arena_floats - n_out:]
         out = view.reshape(shape)
-        batch_out, _ = _layer_forward(layer, cur[None], weights, is_last)
+        batch_out, _ = _layer_forward(layer, cur[None], weights, is_last, keep_cache=False)
         out[...] = batch_out[0]
         cur = out
         cur_len = n_out

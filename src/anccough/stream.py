@@ -138,14 +138,19 @@ def detect(
 ) -> list[DetectionEvent]:
     """Slice, normalize and score a whole recording, merging positive windows.
 
-    The recording must already be at the model's rate; decimate first.
+    The recording must already be at the model's rate; decimate first. All
+    windows are scored in one batched call; scores do not depend on the batch,
+    so the events are the ones the stepper emits window by window.
     """
     if rec.sample_rate_hz != spec.sample_rate_hz:
         raise RateMismatch(
             f"recording at {rec.sample_rate_hz} Hz, model wants {spec.sample_rate_hz}"
         )
     windows = slice_windows(rec)
-    probs = [net.forward(spec, params, normalize(w))[0] for w in windows]
+    if not windows:
+        return []
+    x = np.stack([normalize(w).data for w in windows])
+    probs = net.predict_probs(spec, params, x)[:, net.CLASS_SUBJECT].tolist()
     starts = [w.start_s for w in windows]
     window_s = spec.input_len / spec.sample_rate_hz
     return _merge_positive_runs(probs, starts, window_s, threshold, gap_tolerance)
@@ -182,11 +187,13 @@ class StreamingDetector:
             raise RateMismatch(
                 f"window at {window.sample_rate_hz} Hz, model wants {self.spec.sample_rate_hz}"
             )
-        if state.next_start_s is not None and not np.isclose(
-            window.start_s, state.next_start_s, atol=1e-6
+        expected = state.next_start_s
+        # np.isclose's test (atol 1e-6, rtol 1e-5) in plain floats; NaN fails it
+        if expected is not None and not (
+            abs(window.start_s - expected) <= 1e-6 + 1e-5 * abs(expected)
         ):
             raise OutOfOrderWindow(
-                f"window starts at {window.start_s}, expected {state.next_start_s}"
+                f"window starts at {window.start_s}, expected {expected}"
             )
         p = net.forward(self.spec, self.params, normalize(window))[0]
         return _advance(state, window.start_s, p, self.window_s, self.threshold,

@@ -25,13 +25,15 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
 
+    view = memoryview(raw)  # chunk bodies as views, not copies
     fmt = None
     data = None
+    data_at = 0
     pos = 12
     while pos + 8 <= len(raw):
         cid = raw[pos:pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8:pos + 8 + size]
+        body = view[pos + 8:pos + 8 + size]
         if len(body) < size:
             raise MalformedHeader(f"{path}: chunk {cid!r} truncated")
         if cid == b"fmt ":
@@ -39,7 +41,7 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
                 raise MalformedHeader(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
-            data = body
+            data, data_at = body, pos
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or data is None:
@@ -50,13 +52,19 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
         raise MalformedHeader(f"{path}: zero channels")
 
     if audio_format == FORMAT_PCM and bits == 16:
-        flat = np.frombuffer(data, dtype="<i2").astype(np.float32) / _INT16_FULL_SCALE
+        dtype = "<i2"
     elif audio_format == FORMAT_IEEE_FLOAT and bits == 32:
-        flat = np.frombuffer(data, dtype="<f4").astype(np.float32)
+        dtype = "<f4"
     else:
         raise UnsupportedEncoding(
             f"{path}: format {audio_format} at {bits} bits (want PCM16 or float32)"
         )
+    if len(data) % (bits // 8):
+        raise MalformedHeader(f"{path}: data chunk at byte {data_at} holds {len(data)} "
+                              f"bytes, not a whole number of {bits // 8}-byte samples")
+    flat = np.frombuffer(data, dtype=dtype).astype(np.float32)
+    if dtype == "<i2":
+        flat /= _INT16_FULL_SCALE  # in place; dividing by a power of two is exact
 
     if block_align != n_channels * bits // 8:
         raise MalformedHeader(f"{path}: inconsistent block alignment")

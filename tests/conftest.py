@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,15 @@ def make_window(rate_hz: int = 8000, seed: int = 0, scale: float = 0.5) -> DualC
     rng = np.random.default_rng(seed)
     data = (scale * rng.standard_normal((2, rate_hz // 2))).astype(np.float32)
     return DualChannelWindow(data=data, sample_rate_hz=rate_hz, source_id=f"seed{seed}")
+
+
+def write_pcm16_wav(path, payload: bytes) -> None:
+    """A stereo 8 kHz PCM16 WAV around `payload`, whatever its length; the data
+    chunk starts at byte 36."""
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload) + (len(payload) & 1)) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, 8000, 32000, 4, 16)
+    header += b"data" + struct.pack("<I", len(payload))
+    path.write_bytes(header + payload + b"\0" * (len(payload) & 1))
 
 
 def make_recording(duration_s: float, rate_hz: int = 8000, seed: int = 0,

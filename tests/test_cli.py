@@ -9,6 +9,7 @@ from anccough import net
 from anccough.cli import main
 from anccough.model_io import load_model, save_model
 from anccough.synth import read_manifest
+from conftest import write_pcm16_wav
 
 
 def tree_bytes(root):
@@ -99,6 +100,41 @@ def test_detect_decimates_input(tmp_path):
                  "--out", str(out_path)]) == 0
     for line in out_path.read_text().splitlines():
         json.loads(line)
+
+
+def _detect_model(tmp_path):
+    spec = net.default_spec(8000)
+    model_path = tmp_path / "m.ecn1"
+    save_model(spec, net.init_params(spec, seed=0), model_path)
+    return model_path
+
+
+def test_detect_on_a_wav_shorter_than_one_window(tmp_path):
+    from anccough import wavio
+
+    wav_path = tmp_path / "short.wav"
+    wavio.write_wav(wav_path, np.full((3999, 2), 0.1, np.float32), 8000)
+    out_path = tmp_path / "events.ndjson"
+    assert main(["detect", "--wav", str(wav_path), "--model", str(_detect_model(tmp_path)),
+                 "--out", str(out_path), "--threshold", "0"]) == 0
+    assert out_path.read_text() == ""
+
+
+@pytest.mark.parametrize("fault", ["odd-data-chunk", "nan-sample"])
+def test_detect_on_a_bad_wav_is_exit_one(tmp_path, capsys, fault):
+    from anccough import wavio
+
+    wav_path = tmp_path / f"{fault}.wav"
+    if fault == "odd-data-chunk":
+        write_pcm16_wav(wav_path, bytes(4001))
+    else:
+        frames = np.zeros((8000, 2), np.float32)
+        frames[100, 0] = np.nan
+        wavio.write_wav(wav_path, frames, 8000, encoding="float32")
+    code = main(["detect", "--wav", str(wav_path), "--model", str(_detect_model(tmp_path))])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {wav_path}: ") and "Traceback" not in err
 
 
 def test_runtime_error_is_exit_one(tmp_path, capsys):

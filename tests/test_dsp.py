@@ -1,5 +1,6 @@
 """Signal-path tests: WAV I/O, decimation, windowing, normalization."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -15,13 +16,15 @@ from anccough.dsp import (
     slice_windows,
 )
 from anccough.errors import (
+    AnccoughError,
     MalformedHeader,
+    NonFiniteSamples,
     NonIntegerFactor,
     NotStereo,
     UnsupportedEncoding,
     UnsupportedRate,
 )
-from conftest import make_recording, sine_recording
+from conftest import make_recording, sine_recording, write_pcm16_wav
 
 
 def tone_amplitude(x: np.ndarray, rate_hz: int, freq_hz: float) -> float:
@@ -102,6 +105,52 @@ def test_wav_unsupported_encoding_rejected(tmp_path):
     path.write_bytes(header + payload)
     with pytest.raises(UnsupportedEncoding):
         load_recording(path)
+
+
+def test_wav_odd_length_data_chunk_is_typed(tmp_path):
+    path = tmp_path / "odd.wav"
+    write_pcm16_wav(path, bytes(65))
+    for load in (wavio.read_wav, load_recording):
+        with pytest.raises(MalformedHeader) as exc:
+            load(path)
+        assert str(path) in str(exc.value) and "at byte 36" in str(exc.value)
+
+
+def test_wav_non_finite_sample_is_typed(tmp_path):
+    frames = np.zeros((100, 2), np.float32)
+    frames[5, 1] = np.nan
+    frames[7, 0] = np.inf
+    path = tmp_path / "nan.wav"
+    wavio.write_wav(path, frames, 8000, encoding="float32")
+    with pytest.raises(NonFiniteSamples) as exc:
+        load_recording(path)
+    assert isinstance(exc.value, AnccoughError)
+    assert str(path) in str(exc.value) and "frame 5" in str(exc.value)
+
+
+def _read_wav_digest(path) -> str:
+    frames, rate = wavio.read_wav(path)
+    h = hashlib.sha256(f"{frames.dtype}{frames.shape}{rate}".encode())
+    h.update(np.ascontiguousarray(frames).tobytes())
+    return h.hexdigest()
+
+
+READ_WAV_DIGESTS = {
+    "int16": "7e89ae89a45053e792c2ebaa15d747f4233b59473918128f147c007ede07381a",
+    "float32": "6d1448e48e3a2addc25a78bfc72029c61a12c08f731b2737b6678931dbba739c",
+}
+
+
+def test_read_wav_output_is_unchanged(tmp_path):
+    """read_wav decodes to the same bytes as the copy-and-divide reader it
+    replaced (digests recorded from that reader)."""
+    rng = np.random.default_rng(41)
+    frames = np.clip(0.4 * rng.standard_normal((4801, 2)), -1.0, 1.0).astype(np.float32)
+    frames[:4] = [[-1.0, 1.0], [0.0, -0.0], [1 / 32768, -1 / 32768], [0.99999, -0.99999]]
+    wavio.write_wav(tmp_path / "i.wav", frames, 48000)
+    wavio.write_wav(tmp_path / "f.wav", frames, 48000, encoding="float32")
+    assert _read_wav_digest(tmp_path / "i.wav") == READ_WAV_DIGESTS["int16"]
+    assert _read_wav_digest(tmp_path / "f.wav") == READ_WAV_DIGESTS["float32"]
 
 
 # --- decimation ---

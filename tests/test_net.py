@@ -6,6 +6,8 @@ theta +/- eps; when the pattern flips, the probe retries at a smaller step.
 All gradient checks run the engine in float64.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,8 @@ def test_maxpool_matches_reduction_and_keeps_first_of_ties():
         out, argmax = _maxpool_forward(x, width)
         assert np.array_equal(out, xr.max(axis=3))
         assert np.array_equal(argmax, xr.argmax(axis=3))
+        out_only, none = _maxpool_forward(x, width, with_argmax=False)
+        assert np.array_equal(out_only, out) and none is None
 
 
 def test_gap_and_dense_gradients():
@@ -401,3 +405,85 @@ def test_probabilities_are_batch_invariant(spec):
             assert np.array_equal(batch[i], single)
         for probs in chunked.values():
             assert np.array_equal(probs[i], single)
+
+
+def _loss_and_grads_digest(spec, dtype) -> str:
+    """SHA-256 over loss_and_grads on fixed inputs: the loss, unweighted and
+    weighted, and every gradient's dtype, shape and bytes."""
+    params = net.init_params(spec, seed=23, dtype=dtype)
+    rng = np.random.default_rng(29)
+    for i in range(1, len(params), 2):
+        params[i] = rng.normal(0.0, 0.05, params[i].shape).astype(dtype)
+    x = rng.standard_normal((32,) + spec.input_shape).astype(dtype)
+    labels = rng.integers(0, 2, 32)
+    weights = rng.uniform(0.5, 2.0, 32)
+    h = hashlib.sha256()
+    for sample_weight in (None, weights):
+        loss, grads = net.loss_and_grads(spec, params, x, labels, sample_weight)
+        h.update(np.float64(loss).tobytes())
+        for g in grads:
+            h.update(f"{g.dtype}{g.shape}".encode())
+            h.update(np.ascontiguousarray(g).tobytes())
+    return h.hexdigest()
+
+
+# Recorded before the first conv layer stopped computing its unused input
+# gradient. The arithmetic of every kept product must not change, so neither
+# may these. They pin the rounding of the BLAS in the numpy wheel pinned in CI;
+# another numpy build may round its products differently.
+PINNED_NUMPY = "2.4.6"
+LOSS_AND_GRADS_DIGESTS = {
+    ("8k", "float32"):
+        "df1c76671a171d6edd5cd2925d43024cb61f0d0993532e6ad07c634df91fec68",
+    ("8k", "float64"):
+        "1a1dfed7bf061f2033b07398670fa3edcdfed0119ad167e8581252cee733376c",
+    ("reduced", "float32"):
+        "5c56c3c8a7c9becb7b411ac2d595bf2971e59bb384a2ceb12707ec91543de8f9",
+    ("reduced", "float64"):
+        "d038b31400299aa43f339d061cadfee55a0b6b7e6e7448d302ad5fe6ec1a8e68",
+}
+
+
+@pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                    reason=f"digests recorded with numpy {PINNED_NUMPY}")
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", ["8k", "reduced"])
+def test_loss_and_grads_are_bit_identical_to_recorded(name, dtype):
+    spec = net.default_spec(8000) if name == "8k" else net.reduced_spec()
+    assert _loss_and_grads_digest(spec, np.dtype(dtype)) == LOSS_AND_GRADS_DIGESTS[name, dtype]
+
+
+def test_conv_backward_without_dx_gives_the_same_weight_gradients():
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((3, 2, 40))
+    w = rng.standard_normal((4, 2, 9))
+    out, xp = _conv_forward(x, w, np.zeros(4), 2)
+    dout = rng.standard_normal(out.shape)
+    dx, dw, db = _conv_backward(dout, xp, w, 2, 40)
+    none, dw2, db2 = _conv_backward(dout, xp, w, 2, 40, need_dx=False)
+    assert dx.shape == x.shape and none is None
+    assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
+
+
+def test_predict_probs_default_chunks_are_byte_sized(monkeypatch):
+    """The default chunk holds CHUNK_BYTES of the largest activation, so more
+    windows at a lower rate or a narrower dtype, and never fewer than one."""
+    sizes = {}
+
+    def spy(spec, params, x):
+        sizes.setdefault((spec.sample_rate_hz, params[0].dtype.name), []).append(len(x))
+        return np.zeros((len(x), 2))
+
+    monkeypatch.setattr(net, "forward_batch", spy)
+    for rate in (8000, 48000):
+        spec = net.default_spec(rate)
+        for dtype in (np.float32, np.float64):
+            params = net.zero_params(spec, dtype)
+            out = net.predict_probs(spec, params, np.zeros((20,) + spec.input_shape, dtype))
+            assert out.shape == (20, 2)
+    for (rate, dtype), chunks in sizes.items():
+        largest = max(int(np.prod(s)) for s in net.activation_shapes(net.default_spec(rate)))
+        want = max(1, net.CHUNK_BYTES // (largest * np.dtype(dtype).itemsize))
+        assert sum(chunks) == 20 and max(chunks) == want
+    assert max(sizes[8000, "float32"]) == 2 * max(sizes[8000, "float64"])
+    assert max(sizes[48000, "float64"]) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anccough import net
-from anccough.dsp import DualChannelRecording, normalize, slice_windows
+from anccough.dsp import DualChannelRecording, DualChannelWindow, normalize, slice_windows
 from anccough.errors import OutOfOrderWindow, RateMismatch
 from anccough.stream import (
     DetectorState,
@@ -128,6 +128,47 @@ def test_batch_stream_equivalence_with_gap_tolerance():
     for seed in range(5):
         rec = toy_rec(100 + seed, duration_s=4.0)
         assert run_stream(detector, rec) == detect(spec, params, rec, gap_tolerance=1)
+
+
+@pytest.mark.parametrize("duration_s", [0.0, 0.4999])
+def test_detect_shorter_than_one_window_is_empty(duration_s):
+    spec = net.default_spec(8000)
+    params = net.init_params(spec, seed=2)
+    assert detect(spec, params, toy_rec(3, duration_s=duration_s), threshold=0.0) == []
+
+
+@pytest.mark.parametrize("gap_tolerance", [0, 1])
+def test_batched_detect_equals_the_stepper_across_chunks(gap_tolerance):
+    """One predict_probs call over several byte-sized chunks at 48 kHz gives
+    the stepper's events exactly, mean confidences included."""
+    spec = net.default_spec(48000)
+    params = net.init_params(spec, seed=14)
+    largest = max(int(np.prod(s)) for s in net.activation_shapes(spec))
+    chunk = max(1, net.CHUNK_BYTES // (largest * params[0].dtype.itemsize))
+    rec = toy_rec(14, duration_s=0.5 * (3 * chunk + 2) + 0.3, rate=48000)
+    windows = slice_windows(rec)
+    assert len(windows) > 3 * chunk
+    probs = [net.forward(spec, params, normalize(w))[0] for w in windows]
+    threshold = float(np.median(probs))
+    detector = StreamingDetector(spec, params, threshold=threshold, gap_tolerance=gap_tolerance)
+    events = detect(spec, params, rec, threshold=threshold, gap_tolerance=gap_tolerance)
+    assert events and events == run_stream(detector, rec)
+
+
+def test_step_order_check_tolerance():
+    """The expected start matches within 1e-6 + 1e-5 * |expected|, as np.isclose."""
+    spec = net.reduced_spec(64)
+    detector = StreamingDetector(spec, PARAMS)
+    state = DetectorState(next_start_s=100.0)
+    data = np.zeros(spec.input_shape, np.float32)
+
+    def window(start_s):
+        return DualChannelWindow(data, spec.sample_rate_hz, start_s=start_s)
+
+    detector.step(state, window(100.0 + 1.0e-3))  # inside 1e-6 + 1e-3
+    for start_s in (100.0 + 1.1e-3, 99.0, float("nan")):
+        with pytest.raises(OutOfOrderWindow):
+            detector.step(state, window(start_s))
 
 
 def test_step_advances_expected_start():
