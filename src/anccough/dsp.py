@@ -6,11 +6,13 @@ Channel convention used across the whole project: channel 0 is the feed-forward
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import oaconvolve
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft
 
 from . import wavio
 from .errors import NonFiniteSamples, NonIntegerFactor, NotStereo, UnsupportedRate
@@ -23,6 +25,13 @@ WINDOW_S = 0.5
 # Nyquist, passband edge at 0.45x the target rate.
 _STOPBAND_DB = 60.0
 _PASSBAND_EDGE = 0.45
+
+# Polyphase overlap-save blocks: each FFT spans _DECIMATE_FFT_LEN rows of every
+# input phase and yields that many outputs less the sub-filter length plus one;
+# _DECIMATE_GROUP blocks are transformed per pass, so the complex spectra held
+# at once stay the same size whatever the recording's length.
+_DECIMATE_FFT_LEN = 1024
+_DECIMATE_GROUP = 8
 
 _CONSTANT_CHANNEL_STD = 1e-8
 
@@ -46,7 +55,7 @@ class DualChannelRecording:
         if self.sample_rate_hz not in SUPPORTED_RATES:
             raise UnsupportedRate(f"rate {self.sample_rate_hz} not in {SUPPORTED_RATES}")
         if not (np.isfinite(self.samples_ff).all() and np.isfinite(self.samples_fb).all()):
-            raise ValueError("samples must be finite")
+            raise NonFiniteSamples("samples must be finite")
 
     def __len__(self) -> int:
         return len(self.samples_ff)
@@ -91,15 +100,16 @@ def load_recording(path: str | Path) -> DualChannelRecording:
         raise NotStereo(f"{path}: {frames.shape[1]} channels, need 2")
     if rate not in SUPPORTED_RATES:
         raise UnsupportedRate(f"{path}: rate {rate} not in {SUPPORTED_RATES}")
-    if not np.isfinite(frames).all():
+    try:
+        return DualChannelRecording(
+            samples_ff=frames[:, 0],
+            samples_fb=frames[:, 1],
+            sample_rate_hz=rate,
+            source_id=str(path),
+        )
+    except NonFiniteSamples:
         frame = int(np.argmin(np.isfinite(frames).all(axis=1)))
-        raise NonFiniteSamples(f"{path}: frame {frame} holds a non-finite sample")
-    return DualChannelRecording(
-        samples_ff=frames[:, 0],
-        samples_fb=frames[:, 1],
-        sample_rate_hz=rate,
-        source_id=str(path),
-    )
+        raise NonFiniteSamples(f"{path}: frame {frame} holds a non-finite sample") from None
 
 
 def save_recording(rec: DualChannelRecording, path: str | Path, encoding: str = "int16") -> None:
@@ -126,12 +136,42 @@ def design_decimation_taps(factor: int) -> np.ndarray:
     return taps / taps.sum()
 
 
+@functools.lru_cache(maxsize=None)
+def _polyphase_filter(factor: int) -> tuple[np.ndarray, int, int]:
+    """The decimation filter split into `factor` sub-filters, as spectra.
+
+    Returns (spectra, sub_len, lead). Sub-filter r holds taps[r::factor],
+    zero-padded to sub_len = ceil(T / factor) taps. Phase row s of a segment
+    (its samples s, s + factor, ...) meets sub-filter factor-1-s, so row s of
+    the (factor, 1, FFT_LEN // 2 + 1) spectra is the rfft of that sub-filter.
+    `lead` is how many samples before an output's input position its segment
+    starts, which centres the filter ("same" alignment).
+    """
+    taps = design_decimation_taps(factor)
+    sub_len = -(-len(taps) // factor)
+    padded = np.zeros(sub_len * factor)
+    padded[:len(taps)] = taps
+    subfilters = padded.reshape(sub_len, factor).T[::-1]
+    spectra = fft.rfft(subfilters, _DECIMATE_FFT_LEN, axis=-1)[:, None, :]
+    spectra.flags.writeable = False
+    return spectra, sub_len, factor * sub_len - 1 - (len(taps) - 1) // 2
+
+
 def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecording:
     """Anti-aliased integer-factor decimation of both channels.
 
-    The FIR is linear phase and applied with centered "same" convolution, so the
-    group delay is already compensated; the output keeps every factor-th sample
-    and has length floor(n / factor).
+    The FIR is linear phase and applied centred ("same" alignment), so the
+    group delay is already compensated; output m is the filter centred on
+    input sample m * factor, and the output has length floor(n / factor).
+
+    Only the kept outputs are computed, by polyphase overlap-save: the
+    zero-padded input is read as `factor` phase rows, each filtered by its
+    own ceil(T / factor)-tap sub-filter, and the phases are summed. Per
+    block, every phase row is rfft'd, multiplied by its sub-filter's cached
+    spectrum and summed in the frequency domain; one irfft then gives the
+    block's outputs after the first sub_len - 1, which are the rows of history
+    the block carries. Both channels go through together, a group of blocks
+    at a time, in float64; the result is cast to float32.
     """
     if target_rate_hz <= 0 or rec.sample_rate_hz % target_rate_hz != 0:
         raise NonIntegerFactor(
@@ -142,16 +182,31 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
         return DualChannelRecording(
             rec.samples_ff.copy(), rec.samples_fb.copy(), rec.sample_rate_hz, rec.source_id
         )
-    taps = design_decimation_taps(factor)
-    out_len = len(rec) // factor
-
-    def one(channel: np.ndarray) -> np.ndarray:
-        filtered = oaconvolve(channel.astype(np.float64), taps, mode="same")
-        return filtered[::factor][:out_len].astype(np.float32)
-
-    return DualChannelRecording(
-        one(rec.samples_ff), one(rec.samples_fb), target_rate_hz, rec.source_id
-    )
+    spectra, sub_len, lead = _polyphase_filter(factor)
+    hop = _DECIMATE_FFT_LEN - (sub_len - 1)  # outputs per block
+    n, out_len = len(rec), len(rec) // factor
+    out = np.empty((2, out_len), np.float32)
+    segment = np.empty((2, (_DECIMATE_GROUP * hop + sub_len - 1) * factor))
+    for m0 in range(0, out_len, _DECIMATE_GROUP * hop):
+        count = min(_DECIMATE_GROUP * hop, out_len - m0)
+        n_blocks = -(-count // hop)
+        rows = n_blocks * hop + sub_len - 1
+        # input samples [start, stop), zero outside the recording
+        start = factor * m0 - lead
+        stop = start + rows * factor
+        lo, hi = max(start, 0), min(stop, n)
+        seg = segment[:, :rows * factor]
+        if lo > start or hi < stop:
+            seg.fill(0.0)
+        seg[0, lo - start:hi - start] = rec.samples_ff[lo:hi]
+        seg[1, lo - start:hi - start] = rec.samples_fb[lo:hi]
+        phases = seg.reshape(2, rows, factor).transpose(0, 2, 1)
+        blocks = sliding_window_view(phases, _DECIMATE_FFT_LEN, axis=-1)[:, :, ::hop]
+        spectrum = fft.rfft(blocks, axis=-1)  # (2, factor, n_blocks, FFT_LEN // 2 + 1)
+        spectrum *= spectra
+        filtered = fft.irfft(spectrum.sum(axis=1), _DECIMATE_FFT_LEN, axis=-1)
+        out[:, m0:m0 + count] = filtered[..., sub_len - 1:].reshape(2, -1)[:, :count]
+    return DualChannelRecording(out[0], out[1], target_rate_hz, rec.source_id)
 
 
 def slice_windows(rec: DualChannelRecording, hop_s: float = WINDOW_S) -> list[DualChannelWindow]:
@@ -176,17 +231,24 @@ def slice_windows(rec: DualChannelRecording, hop_s: float = WINDOW_S) -> list[Du
     return windows
 
 
-def normalize(win: DualChannelWindow) -> DualChannelWindow:
-    """Shift each channel to zero mean and scale to unit standard deviation.
+def normalize_array(data: np.ndarray) -> np.ndarray:
+    """Each channel of `data` (..., 2, L) at zero mean and unit standard
+    deviation, in float32.
 
     A nearly constant channel (std < 1e-8) becomes all zeros instead of
-    blowing up. Statistics are computed in float64 so the result is idempotent
-    well inside float32 resolution.
+    blowing up. Statistics are computed in float64, the mean once: the std is
+    taken from the centred channel with the operations `np.std` uses, so a
+    stack of windows gives the same bits as each window alone, and the result
+    is idempotent well inside float32 resolution.
     """
-    data = win.data.astype(np.float64)
-    out = np.zeros_like(data)
-    for ch in range(2):
-        sd = data[ch].std()
-        if sd >= _CONSTANT_CHANNEL_STD:
-            out[ch] = (data[ch] - data[ch].mean()) / sd
-    return replace(win, data=out.astype(np.float32), normalized=True)
+    x = np.asarray(data, dtype=np.float64)
+    centred = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    sd = np.sqrt(np.square(centred).sum(axis=-1, keepdims=True) / x.shape[-1])
+    out = np.zeros_like(centred)
+    np.divide(centred, sd, out=out, where=sd >= _CONSTANT_CHANNEL_STD)
+    return out.astype(np.float32)
+
+
+def normalize(win: DualChannelWindow) -> DualChannelWindow:
+    """The window with each channel normalized by `normalize_array`."""
+    return replace(win, data=normalize_array(win.data), normalized=True)

@@ -2,16 +2,21 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
 from anccough import wavio
 from anccough.dsp import (
     DualChannelRecording,
+    DualChannelWindow,
     decimate,
+    design_decimation_taps,
     load_recording,
     normalize,
+    normalize_array,
     save_recording,
     slice_windows,
 )
@@ -206,6 +211,80 @@ def test_decimate_then_slice_yields_half_rate_windows(target):
     assert all(w.data.shape == (2, target // 2) for w in wins)
 
 
+RATE_PAIRS = [(48000, 24000), (48000, 16000), (48000, 8000), (24000, 8000), (16000, 8000)]
+
+
+def _decimate_inputs(src, dst):
+    """Distinct noise channels at lengths shorter than every filter, not a
+    multiple of any factor, and several block groups long."""
+    for i, n in enumerate((97, 431, 4999, 5 * src + 7)):
+        rng = np.random.default_rng(1000 * i + src // 1000 + dst // 1000)
+        x = (0.3 * rng.standard_normal((2, n))).astype(np.float32)
+        yield DualChannelRecording(x[0], x[1], src)
+
+
+def _decimate_digest(src, dst) -> str:
+    h = hashlib.sha256()
+    for rec in _decimate_inputs(src, dst):
+        out = decimate(rec, dst)
+        h.update(f"{out.sample_rate_hz}:{len(out)}".encode())
+        h.update(out.samples_ff.tobytes())
+        h.update(out.samples_fb.tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the oaconvolve decimator that filtered every input sample and
+# kept each factor-th output. The polyphase one gives the same float32 bits on
+# these inputs; elsewhere its float64 rounding can move a rare sample, one whose
+# exact value lies at a float32 rounding midpoint, by one ulp.
+PINNED_VERSIONS = ("2.4.6", "1.17.1")  # numpy, scipy
+DECIMATE_DIGESTS = {
+    (48000, 24000): "3d6b9b4ecc0743f23d7a22c63fd1ab368ec3aa692c281ac1f268a8c07e40675d",
+    (48000, 16000): "6ebd90551eb52fad20df1159b1847ae2d1e2ea746bc4c306750e646700e455df",
+    (48000, 8000): "1b264e0e78aa7993668650c98ee30a8286f591e0318db315996d5e3e32eb3088",
+    (24000, 8000): "53ccd9060fc1a3baf9fd6fa6e5e82167e32fcf32353a898d801caa92a6fbc628",
+    (16000, 8000): "ab0be50b0cd19aa92b6f8687825b906e5ac960db864f98d7d3d81fcf0c04117d",
+}
+
+
+@pytest.mark.skipif((np.__version__, scipy.__version__) != PINNED_VERSIONS,
+                    reason="digests recorded with numpy %s, scipy %s" % PINNED_VERSIONS)
+@pytest.mark.parametrize("src,dst", RATE_PAIRS)
+def test_decimate_matches_recorded_digest(src, dst):
+    assert _decimate_digest(src, dst) == DECIMATE_DIGESTS[src, dst]
+
+
+@pytest.mark.parametrize("src,dst", RATE_PAIRS)
+def test_decimate_matches_direct_convolution(src, dst):
+    factor = src // dst
+    taps = design_decimation_taps(factor)
+    centre = (len(taps) - 1) // 2
+    for rec in _decimate_inputs(src, dst):
+        out = decimate(rec, dst)
+        n = len(rec)
+        for got, x in ((out.samples_ff, rec.samples_ff), (out.samples_fb, rec.samples_fb)):
+            same = np.convolve(x.astype(np.float64), taps)[centre:centre + n]
+            want = same[::factor][:n // factor]
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-6
+
+
+def test_decimate_memory_is_a_fraction_of_the_input():
+    """Blocks of outputs, not whole-signal float64 copies: the traced peak for
+    62 s of 48 kHz stereo stays within 1.25x the input's float64 size."""
+    rng = np.random.default_rng(12)
+    frames = (0.3 * rng.standard_normal((62 * 48000, 2))).astype(np.float32)
+    rec = DualChannelRecording(frames[:, 0], frames[:, 1], 48000)
+    tracemalloc.start()
+    try:
+        out = decimate(rec, 8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(rec) // 6
+    assert peak <= 1.25 * frames.size * 8
+
+
 # --- windowing ---
 
 def test_slice_window_counts():
@@ -260,6 +339,23 @@ def test_normalize_alternating_channel_is_fixed_point():
     win = DualChannelWindow(data=data, sample_rate_hz=8000)
     out = normalize(win)
     assert np.abs(out.data - data).max() < 1e-6
+
+
+def test_normalize_array_batch_equals_each_window():
+    rng = np.random.default_rng(13)
+    data = (rng.standard_normal((9, 2, 4000)) * rng.uniform(0.01, 3.0, (9, 2, 1))).astype(np.float32)
+    data[2, 1] = 0.7  # a constant channel
+    data[5] = 0.0
+    batch = normalize_array(data)
+    each = np.stack([normalize(DualChannelWindow(d, 8000)).data for d in data])
+    assert batch.dtype == np.float32
+    assert np.array_equal(batch.view(np.uint32), each.view(np.uint32))
+    assert np.all(batch[2, 1] == 0.0) and np.all(batch[5] == 0.0)
+
+
+def test_recording_non_finite_is_typed():
+    with pytest.raises(NonFiniteSamples):
+        DualChannelRecording(np.zeros(4, np.float32), np.array([0, 0, np.inf, 0], np.float32), 8000)
 
 
 def test_recording_validation():
