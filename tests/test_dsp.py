@@ -16,7 +16,6 @@ from anccough.dsp import (
     design_decimation_taps,
     load_recording,
     normalize,
-    normalize_array,
     save_recording,
     slice_windows,
 )
@@ -234,9 +233,7 @@ def _decimate_digest(src, dst) -> str:
 
 
 # Recorded from the oaconvolve decimator that filtered every input sample and
-# kept each factor-th output. The polyphase one gives the same float32 bits on
-# these inputs; elsewhere its float64 rounding can move a rare sample, one whose
-# exact value lies at a float32 rounding midpoint, by one ulp.
+# kept each factor-th output; the polyphase one must give the same bits.
 PINNED_VERSIONS = ("2.4.6", "1.17.1")  # numpy, scipy
 DECIMATE_DIGESTS = {
     (48000, 24000): "3d6b9b4ecc0743f23d7a22c63fd1ab368ec3aa692c281ac1f268a8c07e40675d",
@@ -267,6 +264,43 @@ def test_decimate_matches_direct_convolution(src, dst):
             want = same[::factor][:n // factor]
             assert got.dtype == np.float32 and got.shape == want.shape
             assert np.abs(got - want).max(initial=0.0) <= 1e-6
+
+
+@pytest.mark.parametrize("src,dst", RATE_PAIRS)
+def test_decimate_equals_oaconvolve_bits(src, dst):
+    """Same float32 bits as the full-rate oaconvolve "same" convolution kept
+    every factor-th sample, on noise whose level jumps by up to 100 dB every
+    10 ms: quiet samples beside loud ones are where the two float64 sums round
+    to different float32 values, so the rounding guard has work to do."""
+    from scipy.signal import oaconvolve
+
+    factor = src // dst
+    taps = design_decimation_taps(factor)
+    rng = np.random.default_rng(src // 1000 + dst)
+    for n in (300, 4401, 3 * src + 5):
+        level = np.repeat(10.0 ** rng.uniform(-5, 0, (2, n // 480 + 1)), 480, axis=1)[:, :n]
+        x = (level * rng.standard_normal((2, n))).astype(np.float32)
+        out = decimate(DualChannelRecording(x[0], x[1], src), dst)
+        for got, channel in zip((out.samples_ff, out.samples_fb), x):
+            same = oaconvolve(channel.astype(np.float64), taps, mode="same")
+            want = same[::factor][:n // factor].astype(np.float32)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -80, 2.0 ** 66])
+def test_decimate_rounding_tolerance_follows_the_amplitude(scale):
+    """The guard's input norms stay proportional to the signal where float32
+    squares of its samples underflow (1e-24) or overflow (7e19)."""
+    from anccough.dsp import _polyphase_filter, _rounding_tolerance
+
+    rng = np.random.default_rng(14)
+    x = (0.3 * rng.standard_normal((2, 60000))).astype(np.float32)
+    _, sub_len, lead = _polyphase_filter(6)
+    args = (6, len(design_decimation_taps(6)), 1024 - (sub_len - 1), lead, 10000)
+    base = _rounding_tolerance(tuple(x), *args)
+    scaled = _rounding_tolerance(tuple(x * np.float32(scale)), *args)
+    assert np.all(base > 0)
+    np.testing.assert_allclose(scaled, base * scale, rtol=1e-4)
 
 
 def test_decimate_memory_is_a_fraction_of_the_input():
@@ -341,16 +375,21 @@ def test_normalize_alternating_channel_is_fixed_point():
     assert np.abs(out.data - data).max() < 1e-6
 
 
-def test_normalize_array_batch_equals_each_window():
+def test_normalize_matches_separate_mean_and_std_bits():
     rng = np.random.default_rng(13)
     data = (rng.standard_normal((9, 2, 4000)) * rng.uniform(0.01, 3.0, (9, 2, 1))).astype(np.float32)
     data[2, 1] = 0.7  # a constant channel
     data[5] = 0.0
-    batch = normalize_array(data)
-    each = np.stack([normalize(DualChannelWindow(d, 8000)).data for d in data])
-    assert batch.dtype == np.float32
-    assert np.array_equal(batch.view(np.uint32), each.view(np.uint32))
-    assert np.all(batch[2, 1] == 0.0) and np.all(batch[5] == 0.0)
+    for d in data:
+        x = d.astype(np.float64)
+        want = np.zeros_like(x)
+        for ch in range(2):
+            if x[ch].std() >= 1e-8:
+                want[ch] = (x[ch] - x[ch].mean()) / x[ch].std()
+        got = normalize(DualChannelWindow(d, 8000)).data
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
+    assert np.all(normalize(DualChannelWindow(data[2], 8000)).data[1] == 0.0)
 
 
 def test_recording_non_finite_is_typed():
