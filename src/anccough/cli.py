@@ -83,13 +83,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _train_cfg_from_args(args)
     manifest = synth.read_manifest(args.manifest)
     data_dir = Path(args.manifest).parent
     split = _split_from_args(args, manifest)
     train_set, val_set, _ = pipeline.split_by_user(manifest, split, data_dir, args.rate)
 
     spec = net.default_spec(args.rate)
-    cfg = _train_cfg_from_args(args)
     plan = None
     pool = None
     if args.copies > 0:

@@ -7,14 +7,12 @@ Channel convention used across the whole project: channel 0 is the feed-forward
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
-from scipy.special import lambertw
 
 from . import wavio
 from .errors import NonFiniteSamples, NonIntegerFactor, NotStereo, UnsupportedRate
@@ -34,16 +32,6 @@ _PASSBAND_EDGE = 0.45
 # at once stay the same size whatever the recording's length.
 _DECIMATE_FFT_LEN = 1024
 _DECIMATE_GROUP = 8
-
-# The polyphase sum and the reference overlap-add convolution (scipy's
-# oaconvolve) round differently. On every signal tried they differ by at most
-# 1.35 float64 eps (2^-52) times the L2 norm of the input their FFTs read, 0.25
-# eps at 48 -> 8 kHz; sparse noise at factor 2 is the worst. An output whose
-# float32 rounding could flip within _ROUNDING_GUARD = 16 eps times that norm
-# is recomputed the reference way. _REFERENCE_BATCH caps the reference blocks
-# transformed at once.
-_ROUNDING_GUARD = 2.0 ** -48
-_REFERENCE_BATCH = 32
 
 _CONSTANT_CHANNEL_STD = 1e-8
 
@@ -169,88 +157,6 @@ def _polyphase_filter(factor: int) -> tuple[np.ndarray, int, int]:
     return spectra, sub_len, factor * sub_len - 1 - (len(taps) - 1) // 2
 
 
-def _reference_blocks(n: int, n_taps: int) -> tuple[int, int]:
-    """(fft_len, step) of `oaconvolve(x, taps, mode="same")` for len(x) = n:
-    block k holds x[k * step:(k + 1) * step], zero-padded to fft_len, the
-    complexity-optimal overlap-add length -K W_-1(-1 / (2 e K)) for an overlap
-    of K = n_taps - 1 rounded up to a fast FFT size. A short input is one
-    block, transformed at the fast length of the full result."""
-    overlap = n_taps - 1
-    optimal = -overlap * lambertw(-1 / (2 * math.e * overlap), k=-1).real
-    fft_len = fft.next_fast_len(math.ceil(optimal))
-    if 2 * n_taps >= n or fft_len >= n:
-        fft_len = fft.next_fast_len(n + n_taps - 1, True)
-        return fft_len, fft_len
-    return fft_len, fft_len - overlap
-
-
-def _reference_same(x: np.ndarray, taps: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """float64 `oaconvolve(x, taps, mode="same")` at the sorted indices
-    `centres`, bit for bit.
-
-    Only the overlap-add blocks those outputs read are transformed, with the
-    block length, zero padding, per-block rfft/irfft and tail sums of scipy's
-    oaconvolve, so every value carries the same rounding.
-    """
-    n_taps = len(taps)
-    fft_len, step = _reference_blocks(len(x), n_taps)
-    # block and offset in the full convolution; a block's first n_taps - 1
-    # outputs also receive the previous block's tail
-    block, offset = np.divmod(centres + (n_taps - 1) // 2, step)
-    carried = (offset < n_taps - 1) & (block > 0)
-    spectrum = fft.rfft(taps[None, :], fft_len, axis=-1)
-    out = np.empty(len(centres))
-    firsts = np.unique(block)
-    for i in range(0, len(firsts), _REFERENCE_BATCH):
-        batch = firsts[i:i + _REFERENCE_BATCH]
-        sel = slice(np.searchsorted(block, batch[0]), np.searchsorted(block, batch[-1], "right"))
-        k, o, c = block[sel], offset[sel], carried[sel]
-        needed = np.union1d(k, k[c] - 1)
-        rows = np.zeros((len(needed), step))
-        for r, j in enumerate(needed):
-            chunk = x[j * step:(j + 1) * step]
-            rows[r, :len(chunk)] = chunk
-        blocks = fft.irfft(fft.rfft(rows, fft_len, axis=-1) * spectrum, fft_len, axis=-1)
-        value = blocks[np.searchsorted(needed, k), o]
-        value[c] += blocks[np.searchsorted(needed, k[c] - 1), step + o[c]]
-        out[sel] = value
-    return out
-
-
-def _rounding_tolerance(channels: tuple[np.ndarray, ...], factor: int, n_taps: int,
-                        hop: int, lead: int, out_len: int) -> np.ndarray:
-    """_ROUNDING_GUARD x the L2 norm of the input that each output block's
-    polyphase FFT and its outputs' reference overlap-add blocks read, per
-    channel, shaped (2, n_blocks, 1).
-
-    Both float64 convolutions err by a small multiple of eps times the norm
-    of the input their FFTs read, so the two results lie within this of each
-    other. Norms come from the energies of the reference blocks.
-    """
-    n = len(channels[0])
-    _, step = _reference_blocks(n, n_taps)
-    whole = n // step
-    energy = np.zeros((len(channels), -(-n // step) + 1))  # cumulative, from 0
-    for c, x in enumerate(channels):
-        # float32 sums run at memory speed on the strided channel views; the
-        # blocks whose squares may underflow or overflow are summed in float64
-        blocks = x[:whole * step].reshape(whole, step)
-        e = np.einsum("ij,ij->i", blocks, blocks).astype(np.float64)
-        odd = np.flatnonzero(~((e > 1e-30) & (e < 1e30)))
-        e[odd] = np.einsum("ij,ij->i", blocks[odd], blocks[odd], dtype=np.float64)
-        tail = x[whole * step:].astype(np.float64)
-        energy[c, 1:whole + 1] = e
-        energy[c, whole + 1:] = tail @ tail
-    np.cumsum(energy, axis=1, out=energy)
-    first = np.arange(0, out_len, hop) * factor  # input position of each block's first output
-    last = np.minimum(first + hop * factor, out_len * factor) - factor
-    centre = (n_taps - 1) // 2
-    lo = np.minimum((first + centre) // step - 1, (first - lead) // step).clip(0)
-    hi = np.maximum((last + centre) // step, (first - lead + _DECIMATE_FFT_LEN * factor - 1) // step)
-    hi = hi.clip(max=energy.shape[1] - 2)
-    return _ROUNDING_GUARD * np.sqrt(energy[:, hi + 1] - energy[:, lo])[..., None]
-
-
 def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecording:
     """Anti-aliased integer-factor decimation of both channels.
 
@@ -265,16 +171,11 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
     spectrum and summed in the frequency domain; one irfft then gives the
     block's outputs after the first sub_len - 1, which are the rows of history
     the block carries. Both channels go through together, a group of blocks
-    at a time, in float64; the result is cast to float32.
+    at a time, so memory stays bounded whatever the recording's length.
 
-    The float32 bits are those of a full-rate `scipy.signal.oaconvolve`
-    "same" convolution kept every factor-th sample. The two float64 sums
-    differ by about an eps of the norm of the input their FFTs read, which
-    flips the float32 rounding of a rare output lying that close to a
-    rounding midpoint. So each output is cast at -/+ _ROUNDING_GUARD x that
-    norm, and one whose two casts differ is recomputed from the overlap-add
-    blocks it reads (`_reference_same`): about 370 of the 992 k outputs of a
-    minute of synthetic 48 kHz stereo, none in digital silence.
+    The sum runs in float64 and each output is cast to float32 once. Against
+    the exact float64 convolution an output is off by at most half a float32
+    ulp plus a few float64 eps of the input's peak, from the FFT rounding.
     """
     if target_rate_hz <= 0 or rec.sample_rate_hz % target_rate_hz != 0:
         raise NonIntegerFactor(
@@ -288,13 +189,7 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
     spectra, sub_len, lead = _polyphase_filter(factor)
     hop = _DECIMATE_FFT_LEN - (sub_len - 1)  # outputs per block
     n, out_len = len(rec), len(rec) // factor
-    channels = (rec.samples_ff, rec.samples_fb)
     out = np.empty((2, out_len), np.float32)
-    if out_len == 0:
-        return DualChannelRecording(out[0], out[1], target_rate_hz, rec.source_id)
-    taps = design_decimation_taps(factor)
-    tolerance = _rounding_tolerance(channels, factor, len(taps), hop, lead, out_len)
-    unsettled: list[list[np.ndarray]] = [[], []]
     segment = np.empty((2, (_DECIMATE_GROUP * hop + sub_len - 1) * factor))
     for m0 in range(0, out_len, _DECIMATE_GROUP * hop):
         count = min(_DECIMATE_GROUP * hop, out_len - m0)
@@ -314,17 +209,7 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
         spectrum = fft.rfft(blocks, axis=-1)  # (2, factor, n_blocks, FFT_LEN // 2 + 1)
         spectrum *= spectra
         filtered = fft.irfft(spectrum.sum(axis=1), _DECIMATE_FFT_LEN, axis=-1)[..., sub_len - 1:]
-        # float32 of each output -/+ its tolerance: equal where the rounding is settled
-        tol = tolerance[:, m0 // hop:m0 // hop + n_blocks]
-        low = (filtered - tol).astype(np.float32).reshape(2, -1)[:, :count]
-        high = (filtered + tol).astype(np.float32).reshape(2, -1)[:, :count]
-        out[:, m0:m0 + count] = low
-        for c in range(2):
-            unsettled[c].append(m0 + np.flatnonzero(low[c] != high[c]))
-    for c, x in enumerate(channels):
-        at = np.concatenate(unsettled[c])
-        if len(at):
-            out[c, at] = _reference_same(x, taps, at * factor)
+        out[:, m0:m0 + count] = filtered.reshape(2, -1)[:, :count]
     return DualChannelRecording(out[0], out[1], target_rate_hz, rec.source_id)
 
 

@@ -160,6 +160,8 @@ class TrainConfig:
     class_weighting: bool = False  # inverse-frequency loss weights when true
 
     def __post_init__(self) -> None:
+        if self.epochs_max < 1:
+            raise ValueError("epochs_max must be >= 1")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
         if self.batch_size < 1:

@@ -23,6 +23,15 @@ from test_pipeline import brute_force_label
 STUDY_SEED = 2024
 TRAIN_SEED = 7
 
+# Criterion 4 trains with STUDY_CONFIG, criterion 5 each ablation arm with
+# ABLATION_CONFIG; tools/seed_sweep.py runs both at other seeds.
+STUDY_CONFIG = pipeline.TrainConfig(epochs_max=15, batch_size=32, learning_rate=1e-3,
+                                    early_stop_patience=3, seed=TRAIN_SEED,
+                                    class_weighting=True)
+ABLATION_CONFIG = pipeline.TrainConfig(epochs_max=8, batch_size=32, learning_rate=1e-3,
+                                       early_stop_patience=2, seed=TRAIN_SEED,
+                                       class_weighting=True)
+
 PUBLISHED_SPACE_KB = {8000: 385, 16000: 641, 24000: 897, 48000: 1665}
 PUBLISHED_FLOPS_M = {8000: 12.20, 16000: 24.53, 24000: 36.88, 48000: 73.91}
 
@@ -35,6 +44,14 @@ def report(num, name, ok, detail=""):
 
 # --- shared end-to-end study (criteria 4 and 5) ---
 
+def train_study(train_set, val_set, spec, cfg=STUDY_CONFIG):
+    """Criterion 4's training: one augmented copy per clip, mixed from a
+    32-clip noise pool, both drawn from cfg.seed."""
+    plan = AugmentPlan(copies_per_clip=1, seed=cfg.seed)
+    pool = synth.generate_noise_pool(32, 8000, cfg.seed)
+    return pipeline.train(train_set, val_set, spec, cfg, plan=plan, noise_pool=pool)
+
+
 @pytest.fixture(scope="session")
 def study(tmp_path_factory):
     root = tmp_path_factory.mktemp("study")
@@ -44,13 +61,7 @@ def study(tmp_path_factory):
     train_set, val_set, test_set = pipeline.split_by_user(manifest, split, root, 8000)
 
     spec = net.default_spec(8000)
-    cfg = pipeline.TrainConfig(epochs_max=15, batch_size=32, learning_rate=1e-3,
-                               early_stop_patience=3, seed=TRAIN_SEED,
-                               class_weighting=True)
-    plan = AugmentPlan(copies_per_clip=1, seed=TRAIN_SEED)
-    pool = synth.generate_noise_pool(32, 8000, TRAIN_SEED)
-    params, history = pipeline.train(train_set, val_set, spec, cfg,
-                                     plan=plan, noise_pool=pool)
+    params, history = train_study(train_set, val_set, spec)
     elapsed = time.time() - t0
     return {
         "root": root,
@@ -120,10 +131,7 @@ def test_criterion_04_end_to_end_study(study):
 
 def test_criterion_05_ablation_ordering(study):
     train_set, val_set, test_set = study["sets"]
-    cfg = pipeline.TrainConfig(epochs_max=8, batch_size=32, learning_rate=1e-3,
-                               early_stop_patience=2, seed=TRAIN_SEED,
-                               class_weighting=True)
-    reports = evalkit.ablation(train_set, val_set, test_set, study["spec"], cfg)
+    reports = evalkit.ablation(train_set, val_set, test_set, study["spec"], ABLATION_CONFIG)
     dual = reports["dual"].acc2
     ff = reports["feed_forward_only"].acc2
     fb = reports["feedback_only"].acc2

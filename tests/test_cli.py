@@ -145,6 +145,16 @@ def test_runtime_error_is_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_zero_epochs_is_exit_one_and_writes_nothing(small_dataset, tmp_path, capsys):
+    root, _ = small_dataset
+    out_dir = tmp_path / "out"
+    code = main(["train", "--manifest", str(root / "manifest.json"), "--rate", "8000",
+                 "--out", str(out_dir / "model.ecn1"), "--epochs", "0", "--copies", "0"])
+    assert code == 1
+    assert "epochs_max" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_train_eval_round_trip(small_dataset, tmp_path, capsys):
     root, _ = small_dataset
     model_path = tmp_path / "model.ecn1"
