@@ -1,10 +1,11 @@
 """Continuous detection: one decision per 0.5 s window, merged into events.
 
 Consecutive windows whose subject probability clears the threshold coalesce
-into one detection event, and the first negative window closes it. The rule is one transition over (state, window start, probability): the
-incremental stepper applies it once per window and the batch path folds it
-over a whole recording, so both emit the same events. The state has constant
-size regardless of stream length.
+into one detection event, and the first negative window closes it. The rule
+is one transition over (state, window start, probability): the incremental
+stepper applies it once per window and the batch path folds it over a whole
+recording, so both emit the same events. The state has constant size
+regardless of stream length.
 """
 
 from __future__ import annotations
