@@ -1,17 +1,18 @@
 """Continuous detection: one decision per 0.5 s window, merged into events.
 
 Consecutive windows whose subject probability clears the threshold coalesce
-into one detection event, and the first negative window closes it. The rule
-is one transition over (state, window start, probability): the incremental
-stepper applies it once per window and the batch path folds it over a whole
-recording, so both emit the same events. The state has constant size
-regardless of stream length.
+into one detection event. A gap tolerance (default 0) lets a run survive that
+many negative windows, since back-to-back coughs may straddle a boundary.
+The rule is one transition over (state, window start, probability): the
+incremental stepper applies it once per window and the batch path folds it
+over a whole recording, so both emit the same events. The state has constant
+size regardless of stream length.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +55,7 @@ class DetectorState:
     run_end_s: float = 0.0
     run_prob_sum: float = 0.0
     run_count: int = 0
+    gap_run: int = 0
 
     def to_json(self) -> str:
         return json.dumps(
@@ -63,6 +65,7 @@ class DetectorState:
                 "run_end_s": self.run_end_s,
                 "run_prob_sum": self.run_prob_sum,
                 "run_count": self.run_count,
+                "gap_run": self.gap_run,
             },
             sort_keys=True,
         )
@@ -78,9 +81,10 @@ def _advance(
     p: float,
     window_s: float,
     threshold: float,
+    gap_tolerance: int,
 ) -> tuple[DetectorState, DetectionEvent | None]:
     """The merge rule: fold one scored window into the run; emits the event a
-    negative window closes."""
+    negative window past the gap tolerance closes."""
     end_s = start_s + window_s
     if p >= threshold:
         return DetectorState(
@@ -90,7 +94,11 @@ def _advance(
             run_prob_sum=state.run_prob_sum + p,
             run_count=state.run_count + 1,
         ), None
-    return DetectorState(next_start_s=end_s), _close(state)
+    if state.run_start_s is None:
+        return replace(state, next_start_s=end_s), None
+    if state.gap_run + 1 > gap_tolerance:
+        return DetectorState(next_start_s=end_s), _close(state)
+    return replace(state, next_start_s=end_s, gap_run=state.gap_run + 1), None
 
 
 def _close(state: DetectorState) -> DetectionEvent | None:
@@ -106,12 +114,13 @@ def _merge_positive_runs(
     starts: list[float],
     window_s: float,
     threshold: float,
+    gap_tolerance: int,
 ) -> list[DetectionEvent]:
     """Fold the merge rule over a scored recording; the batch form of the stepper."""
     state = DetectorState()
     events: list[DetectionEvent] = []
     for p, start in zip(probs, starts):
-        state, event = _advance(state, start, p, window_s, threshold)
+        state, event = _advance(state, start, p, window_s, threshold, gap_tolerance)
         if event is not None:
             events.append(event)
     event = _close(state)
@@ -125,6 +134,7 @@ def detect(
     params: list[np.ndarray],
     rec: DualChannelRecording,
     threshold: float = 0.5,
+    gap_tolerance: int = 0,
 ) -> list[DetectionEvent]:
     """Slice, normalize and score a whole recording, merging positive windows.
 
@@ -143,7 +153,7 @@ def detect(
     probs = net.predict_probs(spec, params, x)[:, net.CLASS_SUBJECT].tolist()
     starts = [w.start_s for w in windows]
     window_s = spec.input_len / spec.sample_rate_hz
-    return _merge_positive_runs(probs, starts, window_s, threshold)
+    return _merge_positive_runs(probs, starts, window_s, threshold, gap_tolerance)
 
 
 class StreamingDetector:
@@ -158,10 +168,12 @@ class StreamingDetector:
         spec: net.ModelSpec,
         params: list[np.ndarray],
         threshold: float = 0.5,
+        gap_tolerance: int = 0,
     ):
         self.spec = spec
         self.params = params
         self.threshold = threshold
+        self.gap_tolerance = gap_tolerance
         self.window_s = spec.input_len / spec.sample_rate_hz
 
     def new_state(self) -> DetectorState:
@@ -184,7 +196,8 @@ class StreamingDetector:
                 f"window starts at {window.start_s}, expected {expected}"
             )
         p = net.forward(self.spec, self.params, normalize(window))[0]
-        return _advance(state, window.start_s, p, self.window_s, self.threshold)
+        return _advance(state, window.start_s, p, self.window_s, self.threshold,
+                        self.gap_tolerance)
 
     def flush(self, state: DetectorState) -> tuple[DetectorState, DetectionEvent | None]:
         """Close any open run at end of stream; state returns to fresh."""

@@ -52,7 +52,7 @@ def toy_rec(seed, duration_s=6.0, rate=8000):
 
 def test_merge_rule_example():
     events = _merge_positive_runs([0.9, 0.8, 0.1, 0.7], [0.0, 0.5, 1.0, 1.5],
-                                  window_s=0.5, threshold=0.5)
+                                  window_s=0.5, threshold=0.5, gap_tolerance=0)
     assert len(events) == 2
     assert (events[0].start_s, events[0].end_s) == (0.0, 1.0)
     assert events[0].window_count == 2
@@ -61,7 +61,19 @@ def test_merge_rule_example():
 
 
 def test_merge_rule_never_positive():
-    assert _merge_positive_runs([0.1, 0.2], [0.0, 0.5], 0.5, 0.5) == []
+    assert _merge_positive_runs([0.1, 0.2], [0.0, 0.5], 0.5, 0.5, 0) == []
+
+
+def test_merge_rule_gap_tolerance():
+    probs = [0.9, 0.1, 0.8, 0.1, 0.1, 0.9]
+    starts = [0.5 * i for i in range(6)]
+    strict = _merge_positive_runs(probs, starts, 0.5, 0.5, 0)
+    assert [e.start_s for e in strict] == [0.0, 1.0, 2.5]
+    bridged = _merge_positive_runs(probs, starts, 0.5, 0.5, 1)
+    assert [(e.start_s, e.end_s) for e in bridged] == [(0.0, 1.5), (2.5, 3.0)]
+    # bridged negatives do not contribute to confidence or count
+    assert bridged[0].window_count == 2
+    assert bridged[0].mean_confidence == pytest.approx(0.85)
 
 
 def test_merge_rule_duration_is_multiple_of_window():
@@ -69,7 +81,7 @@ def test_merge_rule_duration_is_multiple_of_window():
     for _ in range(50):
         probs = list(rng.uniform(0, 1, size=rng.integers(1, 30)))
         starts = [0.5 * i for i in range(len(probs))]
-        for event in _merge_positive_runs(probs, starts, 0.5, 0.5):
+        for event in _merge_positive_runs(probs, starts, 0.5, 0.5, 0):
             k = (event.end_s - event.start_s) / 0.5
             assert abs(k - round(k)) < 1e-9 and round(k) >= 1
 
@@ -80,7 +92,7 @@ def test_threshold_monotonicity():
     starts = [0.5 * i for i in range(40)]
     durations = []
     for thr in (0.3, 0.5, 0.7, 0.9):
-        events = _merge_positive_runs(probs, starts, 0.5, thr)
+        events = _merge_positive_runs(probs, starts, 0.5, thr, 0)
         durations.append(sum(e.end_s - e.start_s for e in events))
     assert all(a >= b for a, b in zip(durations, durations[1:]))
 
@@ -109,6 +121,15 @@ def test_batch_stream_equivalence_randomized():
         assert run_stream(detector, rec) == detect(spec, params, rec)
 
 
+def test_batch_stream_equivalence_with_gap_tolerance():
+    spec = net.default_spec(8000)
+    params = net.init_params(spec, seed=4)
+    detector = StreamingDetector(spec, params, threshold=0.5, gap_tolerance=1)
+    for seed in range(5):
+        rec = toy_rec(100 + seed, duration_s=4.0)
+        assert run_stream(detector, rec) == detect(spec, params, rec, gap_tolerance=1)
+
+
 @pytest.mark.parametrize("duration_s", [0.0, 0.4999])
 def test_detect_shorter_than_one_window_is_empty(duration_s):
     spec = net.default_spec(8000)
@@ -116,7 +137,8 @@ def test_detect_shorter_than_one_window_is_empty(duration_s):
     assert detect(spec, params, toy_rec(3, duration_s=duration_s), threshold=0.0) == []
 
 
-def test_batched_detect_equals_the_stepper_across_chunks():
+@pytest.mark.parametrize("gap_tolerance", [0, 1])
+def test_batched_detect_equals_the_stepper_across_chunks(gap_tolerance):
     """One predict_probs call over several byte-sized chunks at 48 kHz gives
     the stepper's events exactly, mean confidences included."""
     spec = net.default_spec(48000)
@@ -128,8 +150,8 @@ def test_batched_detect_equals_the_stepper_across_chunks():
     assert len(windows) > 3 * chunk
     probs = [net.forward(spec, params, normalize(w))[0] for w in windows]
     threshold = float(np.median(probs))
-    detector = StreamingDetector(spec, params, threshold=threshold)
-    events = detect(spec, params, rec, threshold=threshold)
+    detector = StreamingDetector(spec, params, threshold=threshold, gap_tolerance=gap_tolerance)
+    events = detect(spec, params, rec, threshold=threshold, gap_tolerance=gap_tolerance)
     assert events and events == run_stream(detector, rec)
 
 
