@@ -61,6 +61,10 @@ class IoFailure(AnccoughError):
     """Filesystem write or read failed during dataset generation."""
 
 
+class MalformedDatasetFile(AnccoughError, ValueError):
+    """Manifest or annotation file cannot be parsed, or lacks or mistypes a field."""
+
+
 # --- model serialization ---
 
 class BadMagic(AnccoughError):

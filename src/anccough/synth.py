@@ -16,11 +16,12 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.signal import butter, freqz, lfilter
 
 from . import wavio
 from .dsp import DualChannelWindow
-from .errors import IoFailure
+from .errors import IoFailure, MalformedDatasetFile
 
 GENERATOR_RATE_HZ = 48000
 
@@ -90,7 +91,7 @@ class AnnotatedSegment:
     label: str
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.end_s <= self.start_s:
+        if not 0 <= self.start_s < self.end_s < float("inf"):  # also rejects NaN
             raise ValueError(f"bad segment bounds [{self.start_s}, {self.end_s}]")
         if self.label not in EVENT_LABELS:
             raise ValueError(f"unknown label {self.label!r}")
@@ -203,11 +204,18 @@ def _band_noise(
     knee_hz: float | None = None,
     tilt: float = 0.0,
 ) -> np.ndarray:
-    """Gaussian noise synthesized in the frequency domain, exactly band-limited.
+    """Gaussian noise synthesized in the frequency domain, band-limited to
+    [lo_hz, hi_hz].
 
-    Optional 1/f-style rolloff above knee_hz with exponent `tilt`.
+    The spectrum is drawn on the bins of m = next_fast_len(n) >= n samples,
+    because pocketfft is slow at lengths with a large prime factor. The output
+    is the first n samples of that m-periodic band-limited signal, peak
+    normalized: exactly band-limited when n is itself a fast length, and only
+    approximately so (a truncated period) otherwise. Optional 1/f-style
+    rolloff above knee_hz with exponent `tilt`.
     """
-    freqs = np.fft.rfftfreq(n, 1.0 / rate_hz)
+    m = next_fast_len(n, real=True)
+    freqs = np.fft.rfftfreq(m, 1.0 / rate_hz)
     band = (freqs >= lo_hz) & (freqs <= hi_hz)
     count = int(band.sum())
     if count == 0:
@@ -216,7 +224,7 @@ def _band_noise(
     spec[band] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     if knee_hz is not None and tilt > 0:
         spec[band] *= 1.0 / (1.0 + (freqs[band] / knee_hz) ** tilt)
-    x = np.fft.irfft(spec, n)
+    x = np.fft.irfft(spec, m)[:n]
     peak = np.abs(x).max()
     return x / peak if peak > 0 else x
 
@@ -652,12 +660,20 @@ def write_annotations(segments: list[AnnotatedSegment], path: str | Path) -> Non
 
 def read_annotations(path: str | Path) -> list[AnnotatedSegment]:
     segments = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedDatasetFile(f"{path}: not UTF-8 text: {exc}") from exc
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        start_s, end_s, label = line.split("\t")
-        segments.append(AnnotatedSegment(float(start_s), float(end_s), label))
+        try:
+            start_s, end_s, label = line.split("\t")
+            segments.append(AnnotatedSegment(float(start_s), float(end_s), label))
+        except ValueError as exc:
+            raise MalformedDatasetFile(
+                f"{path}: line {number}: want start_s<TAB>end_s<TAB>label: {exc}") from exc
     return segments
 
 
@@ -679,20 +695,41 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _field(doc: dict, key: str, kind: type, where: str):
+    if key not in doc:
+        raise MalformedDatasetFile(f"{where}: missing field {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedDatasetFile(
+            f"{where}: field {key!r} is {type(value).__name__}, want {kind.__name__}")
+    return value
+
+
 def read_manifest(path: str | Path) -> DatasetManifest:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = tuple(
-        ManifestEntry(
-            wav_path=e["wav_path"],
-            annotation_path=e["annotation_path"],
-            user_id=int(e["user_id"]),
-            environment=e["environment"],
-            posture=e["posture"],
-        )
-        for e in doc["entries"]
-    )
-    return DatasetManifest(entries=entries, seed=int(doc["seed"]),
-                           format_version=int(doc["format_version"]))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+        raise MalformedDatasetFile(f"{path}: not a JSON manifest: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDatasetFile(f"{path}: manifest is {type(doc).__name__}, want object")
+    version = _field(doc, "format_version", int, str(path))
+    if version != MANIFEST_FORMAT_VERSION:
+        raise MalformedDatasetFile(f"{path}: unknown format_version {version} "
+                                   f"(want {MANIFEST_FORMAT_VERSION})")
+    seed = _field(doc, "seed", int, str(path))
+    entries = []
+    for i, e in enumerate(_field(doc, "entries", list, str(path))):
+        where = f"{path}: entries[{i}]"
+        if not isinstance(e, dict):
+            raise MalformedDatasetFile(f"{where} is {type(e).__name__}, want object")
+        entries.append(ManifestEntry(
+            wav_path=_field(e, "wav_path", str, where),
+            annotation_path=_field(e, "annotation_path", str, where),
+            user_id=_field(e, "user_id", int, where),
+            environment=_field(e, "environment", str, where),
+            posture=_field(e, "posture", str, where),
+        ))
+    return DatasetManifest(entries=tuple(entries), seed=seed, format_version=version)
 
 
 def generate_dataset(

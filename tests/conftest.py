@@ -6,9 +6,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from anccough import synth
 from anccough.dsp import DualChannelRecording, DualChannelWindow
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is deterministic and its time stays small.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          max_examples=150)
+settings.load_profile("tier1")
 
 
 def make_window(rate_hz: int = 8000, seed: int = 0, scale: float = 0.5) -> DualChannelWindow:

@@ -227,3 +227,39 @@ def test_bad_config_is_usage_error(tmp_path, capsys, config_text):
     assert not (tmp_path / "ds").exists()
     if config_text == "seed=1\nbogus-key=3\n":
         assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({}, "'format_version'"),
+    ([], "list"),
+    ({"entries": [{}], "seed": 0, "format_version": 1}, "entries[0]: missing field 'wav_path'"),
+    ({"entries": "abc", "seed": 0, "format_version": 1}, "'entries' is str"),
+    ({"entries": [], "seed": 0, "format_version": 2}, "format_version 2"),
+], ids=["empty-object", "array", "empty-entry", "string-entries", "unknown-version"])
+def test_malformed_manifest_is_exit_one(tmp_path, capsys, doc, field):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    code = main(["train", "--manifest", str(path), "--out", str(tmp_path / "m.ecn1"),
+                 "--copies", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ") and field in err and "Traceback" not in err
+
+
+def test_malformed_annotation_line_is_exit_one(tmp_path, capsys):
+    from anccough import wavio
+    from anccough.synth import DatasetManifest, ManifestEntry, write_manifest
+
+    entries = []
+    for user in range(3):
+        wavio.write_wav(tmp_path / f"u{user}.wav", np.zeros((8000, 2), np.float32), 8000)
+        (tmp_path / f"u{user}.tsv").write_text("0.100000\t0.400000\tsip_water\n")
+        entries.append(ManifestEntry(f"u{user}.wav", f"u{user}.tsv", user, "quiet", "sitting"))
+    bad = tmp_path / "u0.tsv"
+    bad.write_text("0.100000\t0.400000\tsip_water\n0.500000\t0.900000\n")
+    write_manifest(DatasetManifest(tuple(entries), seed=0), tmp_path / "manifest.json")
+    code = main(["train", "--manifest", str(tmp_path / "manifest.json"),
+                 "--out", str(tmp_path / "m.ecn1"), "--copies", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {bad}: line 2: ") and "Traceback" not in err

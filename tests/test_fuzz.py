@@ -1,0 +1,138 @@
+"""Hostile-input properties: each file reader returns a valid result or raises
+an AnccoughError, whatever bytes it is given.
+
+Inputs are arbitrary bytes, arbitrary text, and byte mutations and truncations
+of a valid file. Example counts come from the profile in conftest.py.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from anccough import wavio
+from anccough.dsp import SUPPORTED_RATES, DualChannelRecording, load_recording
+from anccough.errors import AnccoughError
+from anccough.synth import (
+    EVENT_LABELS,
+    AnnotatedSegment,
+    DatasetManifest,
+    ManifestEntry,
+    read_annotations,
+    read_manifest,
+)
+
+
+def _mutate(valid: bytes, edits: list[tuple[int, int]], keep: int) -> bytes:
+    out = bytearray(valid)
+    for at, value in edits:
+        out[at % len(out)] = value
+    return bytes(out[:keep])
+
+
+def hostile(valid: bytes) -> st.SearchStrategy[bytes]:
+    """Arbitrary bytes, UTF-8 text, or `valid` with a few bytes replaced and
+    its tail possibly cut."""
+    mutants = st.builds(
+        _mutate, st.just(valid),
+        st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)), max_size=4),
+        st.integers(0, len(valid)),
+    )
+    return st.one_of(st.binary(max_size=256), st.text(max_size=256).map(str.encode), mutants)
+
+
+def _reads(path, data: bytes, reader):
+    path.write_bytes(data)
+    try:
+        return reader(path)
+    except AnccoughError:
+        return None
+
+
+# --- manifest ---
+
+VALID_MANIFEST = {
+    "format_version": 1,
+    "seed": 3,
+    "entries": [
+        {"wav_path": f"user0{u}/quiet/00_walking.wav",
+         "annotation_path": f"user0{u}/quiet/00_walking.tsv",
+         "user_id": u, "environment": "quiet", "posture": "walking"}
+        for u in range(2)
+    ],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def retyped_manifests(draw) -> bytes:
+    """The valid manifest with one field, top-level or in an entry, set to an
+    arbitrary JSON value or deleted."""
+    doc = json.loads(json.dumps(VALID_MANIFEST))
+    target = draw(st.sampled_from([doc, *doc["entries"]]))
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(json_values)
+    return json.dumps(doc).encode()
+
+
+@given(data=hostile(json.dumps(VALID_MANIFEST).encode()) | retyped_manifests())
+def test_read_manifest_parses_or_raises(tmp_path_factory, data):
+    manifest = _reads(tmp_path_factory.getbasetemp() / "manifest.json", data, read_manifest)
+    if manifest is not None:
+        assert isinstance(manifest, DatasetManifest)
+        assert manifest.format_version == 1 and type(manifest.seed) is int
+        for e in manifest.entries:
+            assert isinstance(e, ManifestEntry) and type(e.user_id) is int
+            assert all(isinstance(v, str)
+                       for v in (e.wav_path, e.annotation_path, e.environment, e.posture))
+
+
+# --- annotations ---
+
+VALID_TSV = ("0.500000\t0.884000\tsingle_cough_sitting\n"
+             "1.250000\t2.416000\tenvironmental_cough\n").encode()
+
+
+@given(data=hostile(VALID_TSV))
+def test_read_annotations_parses_or_raises(tmp_path_factory, data):
+    segments = _reads(tmp_path_factory.getbasetemp() / "a.tsv", data, read_annotations)
+    for s in segments or []:
+        assert isinstance(s, AnnotatedSegment) and s.label in EVENT_LABELS
+        assert 0 <= s.start_s < s.end_s and math.isfinite(s.end_s)
+
+
+# --- WAV ---
+
+def _wav_bytes(encoding: str) -> bytes:
+    frames = (0.3 * np.random.default_rng(1).standard_normal((24, 2))).astype(np.float32)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.wav"
+        wavio.write_wav(path, frames, 8000, encoding=encoding)
+        return path.read_bytes()
+
+
+@given(data=hostile(_wav_bytes("int16")) | hostile(_wav_bytes("float32")))
+def test_read_wav_and_load_recording_parse_or_raise(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "x.wav"
+    decoded = _reads(path, data, wavio.read_wav)
+    if decoded is not None:
+        frames, rate = decoded
+        assert frames.dtype == np.float32 and frames.ndim == 2 and frames.shape[1] >= 1
+        assert isinstance(rate, int)
+    rec = _reads(path, data, load_recording)
+    if rec is not None:
+        assert isinstance(rec, DualChannelRecording) and rec.sample_rate_hz in SUPPORTED_RATES
+        assert np.isfinite(rec.stacked()).all()

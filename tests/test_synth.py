@@ -1,5 +1,7 @@
 """Generator tests: cough synthesis, channel rendering, dataset invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,40 @@ def test_cough_envelope_scales_with_duration():
     assert 8.0 <= ratio <= 12.0
 
 
+# --- band noise ---
+
+@pytest.mark.parametrize("n", [18433, 96001])  # prime; 3 * 32000 + 1
+@pytest.mark.parametrize("lo,hi,knee,tilt,in_band", [
+    (25.0, 180.0, None, 0.0, 0.95),
+    (350.0, 7000.0, 900.0, 1.1, 0.99),
+    (1000.0, 6000.0, None, 0.0, 0.99),
+])
+def test_band_noise_at_slow_lengths(n, lo, hi, knee, tilt, in_band):
+    """Drawn at a fast FFT length and cut to n: still n samples, peak 1, and
+    nearly all of its energy inside the band. Cutting the period leaks the
+    most from the narrow low band: over 300 draws at n = 18433 its in-band
+    share ranged 0.964-1.0 (median 0.995); wide bands kept >= 0.996."""
+    x = synth._band_noise(n, 48000, lo, hi, np.random.default_rng(n), knee_hz=knee, tilt=tilt)
+    assert x.shape == (n,) and x.dtype == np.float64
+    assert np.abs(x).max() == 1.0
+    power = np.abs(np.fft.rfft(x)) ** 2
+    freqs = np.fft.rfftfreq(n, 1 / 48000)
+    assert power[(freqs >= lo) & (freqs <= hi)].sum() / power.sum() >= in_band
+
+
+def test_band_noise_at_a_fast_length_is_the_exact_inverse():
+    n, rate, lo, hi, knee, tilt = 4000, 8000, 120.0, 3000.0, 400.0, 0.8
+    x = synth._band_noise(n, rate, lo, hi, np.random.default_rng(3), knee_hz=knee, tilt=tilt)
+    rng = np.random.default_rng(3)
+    freqs = np.fft.rfftfreq(n, 1 / rate)
+    band = (freqs >= lo) & (freqs <= hi)
+    spec = np.zeros(len(freqs), complex)
+    spec[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
+    spec[band] *= 1.0 / (1.0 + (freqs[band] / knee) ** tilt)
+    y = np.fft.irfft(spec, n)
+    assert np.array_equal(x, y / np.abs(y).max())
+
+
 # --- channel rendering ---
 
 def test_render_subject_silence_and_level():
@@ -162,6 +198,19 @@ def test_noise_pool_shapes_and_determinism():
         assert np.array_equal(a.data, b.data)
 
 
+# SHA-256 of the pool's float32 clips (numpy 2.4.6, scipy 1.17.1): its clip
+# length (rate / 2) is a fast FFT length, so band-noise synthesis must
+# reproduce these bits exactly.
+NOISE_POOL_DIGEST = "60e23e400af72c7d00e111e6a73ba2027d09c6584d233d336e74e6d2dec804c3"
+
+
+def test_noise_pool_matches_recorded_digest():
+    h = hashlib.sha256()
+    for clip in generate_noise_pool(32, 8000, 7):
+        h.update(np.ascontiguousarray(clip.data, dtype="<f4").tobytes())
+    assert h.hexdigest() == NOISE_POOL_DIGEST
+
+
 # --- annotations and manifest ---
 
 def test_annotation_round_trip(tmp_path):
@@ -179,6 +228,9 @@ def test_annotation_validation():
         AnnotatedSegment(1.0, 0.5, "laughing")
     with pytest.raises(ValueError):
         AnnotatedSegment(0.0, 1.0, "sneeze")
+    for start_s, end_s in ((float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf"))):
+        with pytest.raises(ValueError):
+            AnnotatedSegment(start_s, end_s, "laughing")
 
 
 def test_manifest_round_trip(small_dataset, tmp_path):
