@@ -1,5 +1,7 @@
 """Augmentation stage tests: each operation plus the full deterministic plan."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from anccough.augment import (
     time_shift,
 )
 from anccough.dsp import DualChannelWindow
+from anccough.synth import generate_noise_pool
 from anccough.errors import (
     EmptyNoisePool,
     FractionOutOfRange,
@@ -251,6 +254,21 @@ def test_apply_plan_preserves_shape_and_rate():
 def test_apply_plan_empty_pool_rejected():
     with pytest.raises(EmptyNoisePool):
         apply_plan([make_window()], AugmentPlan(seed=0), noise_pool=[])
+
+
+# SHA-256 of apply_plan's float32 output (numpy 2.4.6, scipy 1.17.1) over six
+# windows, two copies each, with background mixing from a synthetic pool.
+APPLY_PLAN_DIGEST = "dae2a5d492849b610023ed662fe2d40abe126cc797f10d833759889595bf188c"
+
+
+def test_apply_plan_matches_recorded_digest():
+    windows = [make_window(8000, seed=s) for s in range(6)]
+    out = apply_plan(windows, AugmentPlan(copies_per_clip=2, seed=7),
+                     generate_noise_pool(4, 8000, 7))
+    h = hashlib.sha256()
+    for w in out:
+        h.update(np.ascontiguousarray(w.data, dtype="<f4").tobytes())
+    assert h.hexdigest() == APPLY_PLAN_DIGEST
 
 
 def test_load_noise_pool_from_directory(tmp_path):

@@ -314,6 +314,34 @@ def test_dataset_deterministic(tmp_path):
         assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes()
 
 
+# SHA-256 over every file generate_dataset writes (relative path, then bytes, in
+# path order) for two users at seed 3 with a small event mix (numpy 2.4.6,
+# scipy 1.17.1). It pins the rendering of both source paths and the bed.
+SMALL_CONFIG = GeneratorConfig(
+    single_cough_count=1,
+    continuous_cough_count=1,
+    sip_count=1,
+    env_coughs_per_recording=(1, 1),
+    laugh_dur=(1.3, 0.1),
+    apple_dur_range=(0.6, 0.8),
+    reading_dur_range=(0.6, 0.8),
+    head_dur_range=(0.6, 0.8),
+    walking_dur_range=(0.6, 0.8),
+    gap_range_s=(0.3, 0.5),
+    lead_s=0.25,
+)
+SMALL_DATASET_DIGEST = "3eb2ad0bc5716a006073f2102120e82a11eea8331616544a1fb2b350d09d87c7"
+
+
+def test_dataset_matches_recorded_digest(tmp_path):
+    synth.generate_dataset(tmp_path, n_users=2, seed=3, config=SMALL_CONFIG)
+    h = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        h.update(path.relative_to(tmp_path).as_posix().encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == SMALL_DATASET_DIGEST
+
+
 def test_dataset_rejects_bad_user_count(tmp_path):
     with pytest.raises(ValueError):
         synth.generate_dataset(tmp_path, n_users=0, seed=0)
