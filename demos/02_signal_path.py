@@ -10,7 +10,7 @@ import numpy as np
 from anccough import AugmentPlan, apply_plan, decimate, normalize, slice_windows
 from anccough.augment import add_white_noise, gain, pitch_shift
 from anccough.dsp import DualChannelRecording
-from anccough.synth import ChannelModel, generate_noise_pool, render_subject, synth_cough
+from anccough.synth import generate_noise_pool, render_subject, synth_cough
 
 rng = np.random.default_rng(0)
 
@@ -18,7 +18,7 @@ rng = np.random.default_rng(0)
 rate = 48000
 bed = (2e-3 * rng.standard_normal(3 * rate)).astype(np.float32)
 audio = np.stack([bed, bed.copy()])
-cough = render_subject(synth_cough(0.4, rate, rng), ChannelModel(), rng, rate_hz=rate)
+cough = render_subject(synth_cough(0.4, rate, rng), rng, rate_hz=rate)
 audio[:, int(1.2 * rate):int(1.2 * rate) + cough.shape[1]] += cough
 rec = DualChannelRecording(audio[0], audio[1], rate, source_id="demo")
 

@@ -14,7 +14,7 @@ from anccough import default_spec, detect, init_params, profile, slice_windows
 from anccough.dsp import DualChannelRecording
 from anccough.evalkit import resource_table_csv
 from anccough.stream import StreamingDetector
-from anccough.synth import ChannelModel, render_subject, synth_cough
+from anccough.synth import render_subject, synth_cough
 
 print(resource_table_csv())
 
@@ -30,7 +30,7 @@ rng = np.random.default_rng(3)
 bed = (2e-3 * rng.standard_normal(20 * rate)).astype(np.float32)
 audio = np.stack([bed, bed.copy()])
 for at_s in (3.1, 9.6, 15.2):
-    cough = render_subject(synth_cough(0.4, rate, rng), ChannelModel(), rng, rate_hz=rate)
+    cough = render_subject(synth_cough(0.4, rate, rng), rng, rate_hz=rate)
     i0 = int(at_s * rate)
     audio[:, i0:i0 + cough.shape[1]] += cough
 rec = DualChannelRecording(audio[0], audio[1], rate, source_id="demo20s")
@@ -51,7 +51,7 @@ if event:
     streamed.append(event)
 
 print(f"streaming:    {len(streamed)} events; identical to batch: {streamed == events}")
-print(f"state record stays small and serializable: {state.to_json()}")
+print(f"state record stays small: {state}")
 for e in events[:5]:
     print(f"  [{e.start_s:5.1f}, {e.end_s:5.1f}) s  "
           f"confidence {e.mean_confidence:.3f}  windows {e.window_count}")

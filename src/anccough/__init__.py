@@ -27,7 +27,6 @@ from .profile import ResourceProfile, profile
 from .stream import DetectionEvent, DetectorState, StreamingDetector, detect
 from .synth import (
     AnnotatedSegment,
-    ChannelModel,
     DatasetManifest,
     GeneratorConfig,
     generate_dataset,

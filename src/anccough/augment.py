@@ -2,7 +2,9 @@
 
 Stage order per plan: standard waveform edits (gain, shift, pitch, speed,
 masking), then noise injection (white noise, background mixing), then
-formatting (normalization; windows already sit at their final rate).
+formatting (normalization; windows already sit at their final rate). Each
+stage's parameter is drawn from one fixed range below; a plan sets only how
+many copies to make and the seed.
 """
 
 from __future__ import annotations
@@ -23,41 +25,28 @@ from .errors import (
 )
 
 MAX_SHIFT_S = 0.25
-MAX_PITCH_SEMITONES = 12.0  # a full octave either way; plans default to +/-2
+MAX_PITCH_SEMITONES = 12.0  # a full octave either way; plans draw within +/-2
 SPEED_FACTOR_BOUNDS = (0.5, 2.0)
 MAX_MASK_FRACTION = 0.10
+
+# The ranges apply_plan draws each stage's parameter from, uniformly.
+GAIN_DB_RANGE = (-6.0, 6.0)
+SHIFT_RANGE_S = (-0.1, 0.1)
+PITCH_SEMITONE_RANGE = (-2.0, 2.0)
+SPEED_FACTOR_RANGE = (0.9, 1.1)
+MASK_FRACTION_RANGE = (0.0, 0.10)
+WHITE_NOISE_SNR_DB_RANGE = (5.0, 30.0)
+BACKGROUND_SNR_DB_RANGE = (0.0, 20.0)
 
 
 @dataclass(frozen=True)
 class AugmentPlan:
-    """Parameter ranges for one augmentation pass plus the seed that fixes it."""
+    """How many augmented copies to make of each clip, and the seed that fixes them."""
 
-    gain_db_range: tuple[float, float] = (-6.0, 6.0)
-    shift_range_s: tuple[float, float] = (-0.1, 0.1)
-    pitch_semitone_range: tuple[float, float] = (-2.0, 2.0)
-    speed_factor_range: tuple[float, float] = (0.9, 1.1)
-    mask_fraction_range: tuple[float, float] = (0.0, 0.10)
-    white_noise_snr_db_range: tuple[float, float] = (5.0, 30.0)
-    background_snr_db_range: tuple[float, float] = (0.0, 20.0)
     copies_per_clip: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "gain_db_range",
-            "shift_range_s",
-            "pitch_semitone_range",
-            "speed_factor_range",
-            "mask_fraction_range",
-            "white_noise_snr_db_range",
-            "background_snr_db_range",
-        ):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name}: lower bound {lo} > upper bound {hi}")
-        lo, hi = self.mask_fraction_range
-        if lo < 0.0 or hi > MAX_MASK_FRACTION:
-            raise FractionOutOfRange(f"mask_fraction_range {self.mask_fraction_range}")
         if self.copies_per_clip < 0:
             raise ValueError("copies_per_clip must be >= 0")
 
@@ -173,8 +162,8 @@ def apply_plan(
 ) -> list[DualChannelWindow]:
     """Emit each input window followed by its augmented variants.
 
-    Every variant draws an independent parameter for each stage from the plan's
-    ranges; the RNG stream is derived from (plan.seed, window index, copy index)
+    Every variant draws an independent parameter for each stage from its
+    range; the RNG stream is derived from (plan.seed, window index, copy index)
     so the result is a pure function of (windows, plan, noise_pool) and is safe
     to compute in parallel per window.
 
@@ -188,15 +177,15 @@ def apply_plan(
         out.append(win)
         for copy_idx in range(plan.copies_per_clip):
             rng = np.random.default_rng([plan.seed, idx, copy_idx])
-            w = gain(win, rng.uniform(*plan.gain_db_range))
-            w = time_shift(w, rng.uniform(*plan.shift_range_s))
-            w = pitch_shift(w, rng.uniform(*plan.pitch_semitone_range))
-            w = speed(w, rng.uniform(*plan.speed_factor_range))
-            w = random_mask(w, rng.uniform(*plan.mask_fraction_range), rng)
-            w = add_white_noise(w, rng.uniform(*plan.white_noise_snr_db_range), rng)
+            w = gain(win, rng.uniform(*GAIN_DB_RANGE))
+            w = time_shift(w, rng.uniform(*SHIFT_RANGE_S))
+            w = pitch_shift(w, rng.uniform(*PITCH_SEMITONE_RANGE))
+            w = speed(w, rng.uniform(*SPEED_FACTOR_RANGE))
+            w = random_mask(w, rng.uniform(*MASK_FRACTION_RANGE), rng)
+            w = add_white_noise(w, rng.uniform(*WHITE_NOISE_SNR_DB_RANGE), rng)
             if noise_pool is not None:
                 clip = noise_pool[int(rng.integers(len(noise_pool)))]
-                w = mix_background(w, clip, rng.uniform(*plan.background_snr_db_range))
+                w = mix_background(w, clip, rng.uniform(*BACKGROUND_SNR_DB_RANGE))
             out.append(normalize(w))
     return out
 

@@ -7,7 +7,7 @@ Channel convention used across the whole project: channel 0 is the feed-forward
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,6 @@ class DualChannelWindow:
     sample_rate_hz: int
     source_id: str = ""
     start_s: float = 0.0
-    normalized: bool = field(default=False)
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -213,17 +212,13 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
     return DualChannelRecording(out[0], out[1], target_rate_hz, rec.source_id)
 
 
-def slice_windows(rec: DualChannelRecording, hop_s: float = WINDOW_S) -> list[DualChannelWindow]:
-    """Cut a recording into 0.5 s windows; a short trailing remainder is dropped.
-
-    The default hop equals the window length, i.e. back-to-back non-overlapping
-    windows; smaller hops give overlap.
-    """
+def slice_windows(rec: DualChannelRecording) -> list[DualChannelWindow]:
+    """Cut a recording into back-to-back 0.5 s windows; a short trailing
+    remainder is dropped."""
     length = rec.sample_rate_hz // 2
-    hop = max(1, round(hop_s * rec.sample_rate_hz))
     data = rec.stacked()
     windows = []
-    for start in range(0, len(rec) - length + 1, hop):
+    for start in range(0, len(rec) - length + 1, length):
         windows.append(
             DualChannelWindow(
                 data=data[:, start:start + length].copy(),
@@ -249,4 +244,4 @@ def normalize(win: DualChannelWindow) -> DualChannelWindow:
     sd = np.sqrt(np.square(centred).sum(axis=-1, keepdims=True) / x.shape[-1])
     out = np.zeros_like(centred)
     np.divide(centred, sd, out=out, where=sd >= _CONSTANT_CHANNEL_STD)
-    return replace(win, data=out.astype(np.float32), normalized=True)
+    return replace(win, data=out.astype(np.float32))

@@ -41,7 +41,6 @@ class LabeledWindow:
     window: DualChannelWindow
     label: str
     user_id: int = 0
-    environment: str = ""
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,6 @@ def label_windows(
     rec: DualChannelRecording,
     annotations: list[AnnotatedSegment],
     user_id: int = 0,
-    environment: str = "",
-    hop_s: float = 0.5,
 ) -> list[LabeledWindow]:
     """Slice a recording and label each window from the annotations.
 
@@ -94,7 +91,7 @@ def label_windows(
     subject_segs = [s for s in annotations if s.label in SUBJECT_COUGH_LABELS]
     env_segs = [s for s in annotations if s.label == ENV_COUGH_LABEL]
     out = []
-    for win in slice_windows(rec, hop_s=hop_s):
+    for win in slice_windows(rec):
         start = win.start_s
         end = start + win.n_samples / win.sample_rate_hz
         if any(s.overlap_s(start, end) >= OVERLAP_THRESHOLD_S for s in subject_segs):
@@ -103,8 +100,7 @@ def label_windows(
             label = "env_cough"
         else:
             label = "other"
-        out.append(LabeledWindow(window=win, label=label, user_id=user_id,
-                                 environment=environment))
+        out.append(LabeledWindow(window=win, label=label, user_id=user_id))
     return out
 
 
@@ -124,8 +120,7 @@ def load_labeled_windows(
         if rec.sample_rate_hz != target_rate_hz:
             rec = decimate(rec, target_rate_hz)
         annotations = read_annotations(data_dir / entry.annotation_path)
-        out.extend(label_windows(rec, annotations, user_id=entry.user_id,
-                                 environment=entry.environment))
+        out.extend(label_windows(rec, annotations, user_id=entry.user_id))
     return out
 
 
@@ -156,7 +151,6 @@ class TrainConfig:
     optimizer: str = "adam"
     early_stop_patience: int = 5
     seed: int = 0
-    momentum: float = 0.9
     class_weighting: bool = False  # inverse-frequency loss weights when true
 
     def __post_init__(self) -> None:
@@ -186,13 +180,15 @@ def _binary_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, floa
     return acc, f1
 
 
+MOMENTUM = 0.9  # velocity decay of the "momentum" optimizer
+
+
 class _Optimizer:
     """SGD, classical momentum, or adaptive-moment updates."""
 
-    def __init__(self, kind: str, lr: float, params: list[np.ndarray], momentum: float):
+    def __init__(self, kind: str, lr: float, params: list[np.ndarray]):
         self.kind = kind
         self.lr = lr
-        self.momentum = momentum
         self.t = 0
         if kind in ("momentum", "adam"):
             self.m = [np.zeros_like(p) for p in params]
@@ -206,7 +202,7 @@ class _Optimizer:
                 p -= self.lr * g
         elif self.kind == "momentum":
             for p, g, m in zip(params, grads, self.m):
-                m *= self.momentum
+                m *= MOMENTUM
                 m += g
                 p -= self.lr * m
         else:  # adam
@@ -269,7 +265,7 @@ def train(
         sample_w = None
 
     params = net.init_params(spec, seed=cfg.seed)
-    optimizer = _Optimizer(cfg.optimizer, cfg.learning_rate, params, cfg.momentum)
+    optimizer = _Optimizer(cfg.optimizer, cfg.learning_rate, params)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
 
     history: list[dict] = []

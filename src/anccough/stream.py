@@ -48,7 +48,7 @@ def events_to_ndjson(events: list[DetectionEvent]) -> str:
 
 @dataclass(frozen=True)
 class DetectorState:
-    """Constant-size progress record between streaming steps; JSON-serializable."""
+    """Constant-size progress record between streaming steps."""
 
     next_start_s: float | None = None  # expected start of the next window
     run_start_s: float | None = None
@@ -56,23 +56,6 @@ class DetectorState:
     run_prob_sum: float = 0.0
     run_count: int = 0
     gap_run: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "next_start_s": self.next_start_s,
-                "run_start_s": self.run_start_s,
-                "run_end_s": self.run_end_s,
-                "run_prob_sum": self.run_prob_sum,
-                "run_count": self.run_count,
-                "gap_run": self.gap_run,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DetectorState":
-        return cls(**json.loads(text))
 
 
 def _advance(

@@ -5,7 +5,8 @@ conduction through the in-ear seal); far-field environmental sounds reach the
 feedback channel attenuated, low-passed and slightly delayed (passive
 isolation). That inter-channel contrast is the separability the detector's
 subject-awareness relies on. All level and filter constants here are physical
-surrogates exposed as configuration, not measured claims.
+surrogates, fixed as module constants, not measured claims; only the event mix
+(`GeneratorConfig`) is configurable.
 """
 
 from __future__ import annotations
@@ -69,6 +70,25 @@ ACTIVITY_GROUPS = (
 
 COUGH_BAND_HZ = (350.0, 4000.0)
 
+# Inter-channel rendering. Subject sources reach the feedback channel through
+# a low-shelf boost plus a broadband gain. The environmental path attenuates
+# the feedback channel by a seal isolation, draws a seal lowpass corner per
+# event and passes the result through a short early-reflection train
+# (multipath through the seal and vent). The corner variation keeps any single
+# channel from carrying a fixed spectral signature, while the reflections
+# guarantee the two channels disagree for far-field sources; both are needed
+# for the dual-channel advantage to come from inter-channel structure rather
+# than from one channel's private cue.
+SUBJECT_FB_GAIN_DB = 6.0
+SUBJECT_LOWSHELF_HZ = 800.0
+SUBJECT_LOWSHELF_GAIN_DB = 6.0
+ENV_ISOLATION_DB = (15.0, 30.0)
+ENV_LOWPASS_RANGE_HZ = (900.0, 3200.0)
+ENV_DELAY_MAX_SAMPLES_48K = 8
+ENV_REFLECTIONS = 2
+ENV_REFLECTION_DELAY_MS = (0.2, 1.5)
+ENV_REFLECTION_GAIN = (0.3, 0.8)
+
 # Feed-forward level of far-field sources relative to the emitted sound.
 ENV_DISTANCE_GAIN_DB = -6.0
 
@@ -119,39 +139,6 @@ class DatasetManifest:
 
     def user_ids(self) -> list[int]:
         return sorted({e.user_id for e in self.entries})
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Inter-channel rendering constants for subject and environmental sources.
-
-    The environmental path draws a seal lowpass corner per event and passes
-    the result through a short early-reflection train (multipath through the
-    seal and vent). The corner variation keeps any single channel from carrying
-    a fixed spectral signature, while the reflections guarantee the two
-    channels disagree for far-field sources; both are needed for the
-    dual-channel advantage to come from inter-channel structure rather than
-    from one channel's private cue.
-    """
-
-    subject_fb_gain_db: float = 6.0
-    subject_lowshelf_hz: float = 800.0
-    subject_lowshelf_gain_db: float = 6.0
-    env_isolation_db: tuple[float, float] = (15.0, 30.0)
-    env_lowpass_range_hz: tuple[float, float] = (900.0, 3200.0)
-    env_delay_max_samples_48k: int = 8
-    env_reflections: int = 2
-    env_reflection_delay_ms: tuple[float, float] = (0.2, 1.5)
-    env_reflection_gain: tuple[float, float] = (0.3, 0.8)
-
-    def __post_init__(self) -> None:
-        lo, hi = self.env_isolation_db
-        if lo < 10.0:
-            raise ValueError("far-field isolation must be at least 10 dB")
-        if lo > hi:
-            raise ValueError("env_isolation_db bounds out of order")
-        if self.env_lowpass_range_hz[0] > self.env_lowpass_range_hz[1]:
-            raise ValueError("env_lowpass_range_hz bounds out of order")
 
 
 @dataclass(frozen=True)
@@ -425,7 +412,6 @@ def _env_lowpass(rate_hz: int, lowpass_hz: float) -> tuple[tuple, tuple, float]:
 
 def render_subject(
     mono: np.ndarray,
-    model: ChannelModel,
     rng: np.random.Generator,
     rate_hz: int = GENERATOR_RATE_HZ,
 ) -> np.ndarray:
@@ -436,18 +422,17 @@ def render_subject(
     delay. Small per-call jitter keeps renders from being carbon copies.
     """
     mono = np.asarray(mono, dtype=np.float32)
-    gain_db = model.subject_fb_gain_db + rng.uniform(-1.0, 1.0)
-    shelf_hz = model.subject_lowshelf_hz * rng.uniform(0.9, 1.1)
+    gain_db = SUBJECT_FB_GAIN_DB + rng.uniform(-1.0, 1.0)
+    shelf_hz = SUBJECT_LOWSHELF_HZ * rng.uniform(0.9, 1.1)
     if len(mono) == 0:
         return np.zeros((2, 0), dtype=np.float32)
-    b, a = _low_shelf_coeffs(rate_hz, shelf_hz, model.subject_lowshelf_gain_db)
+    b, a = _low_shelf_coeffs(rate_hz, shelf_hz, SUBJECT_LOWSHELF_GAIN_DB)
     fb = lfilter(b, a, mono.astype(np.float64)) * 10.0 ** (gain_db / 20.0)
     return np.stack([mono, fb.astype(np.float32)])
 
 
 def render_environment(
     mono: np.ndarray,
-    model: ChannelModel,
     rng: np.random.Generator,
     rate_hz: int = GENERATOR_RATE_HZ,
     isolation_db: float | None = None,
@@ -463,12 +448,12 @@ def render_environment(
     sources.
     """
     mono = np.asarray(mono, dtype=np.float32)
-    iso_db = float(rng.uniform(*model.env_isolation_db)) if isolation_db is None else isolation_db
-    corner_hz = float(rng.uniform(*model.env_lowpass_range_hz))
-    max_delay = round(model.env_delay_max_samples_48k * rate_hz / 48000)
+    iso_db = float(rng.uniform(*ENV_ISOLATION_DB)) if isolation_db is None else isolation_db
+    corner_hz = float(rng.uniform(*ENV_LOWPASS_RANGE_HZ))
+    max_delay = round(ENV_DELAY_MAX_SAMPLES_48K * rate_hz / 48000)
     delay = int(rng.integers(0, max_delay + 1))
-    refl_delays = rng.uniform(*model.env_reflection_delay_ms, size=model.env_reflections)
-    refl_gains = rng.uniform(*model.env_reflection_gain, size=model.env_reflections)
+    refl_delays = rng.uniform(*ENV_REFLECTION_DELAY_MS, size=ENV_REFLECTIONS)
+    refl_gains = rng.uniform(*ENV_REFLECTION_GAIN, size=ENV_REFLECTIONS)
     if len(mono) == 0:
         return np.zeros((2, 0), dtype=np.float32)
     ff = mono * np.float32(10.0 ** (ENV_DISTANCE_GAIN_DB / 20.0))
@@ -487,14 +472,8 @@ def render_environment(
     return np.stack([ff, fb.astype(np.float32)])
 
 
-def generate_noise_pool(
-    n_clips: int,
-    rate_hz: int,
-    seed: int,
-    model: ChannelModel | None = None,
-) -> list[DualChannelWindow]:
+def generate_noise_pool(n_clips: int, rate_hz: int, seed: int) -> list[DualChannelWindow]:
     """Window-sized environmental noise clips for background mixing."""
-    model = model or ChannelModel()
     length = rate_hz // 2
     clips = []
     for i in range(n_clips):
@@ -504,7 +483,7 @@ def generate_noise_pool(
         mono = _band_noise(length, rate_hz, lo, hi, rng,
                            knee_hz=rng.uniform(200, 800), tilt=rng.uniform(0.3, 1.2))
         mono = (rng.uniform(0.2, 0.6) * mono).astype(np.float32)
-        data = render_environment(mono, model, rng, rate_hz=rate_hz)
+        data = render_environment(mono, rng, rate_hz=rate_hz)
         clips.append(DualChannelWindow(data=data, sample_rate_hz=rate_hz,
                                        source_id=f"noise_pool/{i}"))
     return clips
@@ -591,7 +570,6 @@ def _build_recording(
     environment: str,
     posture: str,
     cfg: GeneratorConfig,
-    model: ChannelModel,
     rng: np.random.Generator,
     rate_hz: int,
 ) -> tuple[np.ndarray, list[AnnotatedSegment]]:
@@ -602,17 +580,16 @@ def _build_recording(
     would hand single-channel models a bed-relative loudness tell.
     """
     plan = _planned_events(group, environment, cfg, rng)
-    seal_iso_db = float(rng.uniform(*model.env_isolation_db))
+    seal_iso_db = float(rng.uniform(*ENV_ISOLATION_DB))
 
     placements = []  # (start sample, label, dual (2, n))
     t = cfg.lead_s
     for label, kind, duration_s in plan:
         mono = _event_sound(kind, duration_s, cfg, rng, rate_hz)
         if kind == "env_cough":
-            dual = render_environment(mono, model, rng, rate_hz=rate_hz,
-                                      isolation_db=seal_iso_db)
+            dual = render_environment(mono, rng, rate_hz=rate_hz, isolation_db=seal_iso_db)
         else:
-            dual = render_subject(mono, model, rng, rate_hz=rate_hz)
+            dual = render_subject(mono, rng, rate_hz=rate_hz)
         placements.append((round(t * rate_hz), label, dual))
         t += len(mono) / rate_hz + float(rng.uniform(*cfg.gap_range_s))
 
@@ -621,8 +598,7 @@ def _build_recording(
     bed = _background(total_n / rate_hz, rate_hz, rng)[:total_n]
     if len(bed) < total_n:
         bed = np.pad(bed, (0, total_n - len(bed)))
-    audio = render_environment(bed, model, rng, rate_hz=rate_hz,
-                               isolation_db=seal_iso_db)
+    audio = render_environment(bed, rng, rate_hz=rate_hz, isolation_db=seal_iso_db)
     bed_level = cfg.bed_rms.get(environment, 0.004)
     cur = _rms(audio[0])
     if cur > 0:
@@ -632,7 +608,7 @@ def _build_recording(
         # unannotated footfall bed under the walking-state cough groups; kept
         # well below event level so it never dominates a segment's RMS
         steps = _thuds(total_n / rate_hz, rate_hz, rng, peak=0.012)
-        audio += render_subject(steps, model, rng, rate_hz=rate_hz)[:, :total_n]
+        audio += render_subject(steps, rng, rate_hz=rate_hz)[:, :total_n]
 
     segments = []
     for start_n, label, dual in placements:
@@ -737,7 +713,6 @@ def generate_dataset(
     n_users: int = 10,
     seed: int = 0,
     config: GeneratorConfig | None = None,
-    model: ChannelModel | None = None,
 ) -> DatasetManifest:
     """Render the full synthetic study: n_users x 3 environments x 10 groups.
 
@@ -749,7 +724,6 @@ def generate_dataset(
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     cfg = config or GeneratorConfig()
-    model = model or ChannelModel()
     out_dir = Path(out_dir)
 
     entries = []
@@ -761,7 +735,7 @@ def generate_dataset(
                 for group_idx, (group, posture) in enumerate(ACTIVITY_GROUPS):
                     rng = np.random.default_rng([seed, user, env_idx, group_idx])
                     audio, segments = _build_recording(
-                        group, environment, posture, cfg, model, rng, GENERATOR_RATE_HZ
+                        group, environment, posture, cfg, rng, GENERATOR_RATE_HZ
                     )
                     stem = f"{group_idx:02d}_{group}"
                     wav_rel = f"user{user:02d}/{environment}/{stem}.wav"

@@ -184,18 +184,16 @@ def test_extra_detect_counts_injected_coughs(study):
     rng = np.random.default_rng(33)
     rate = 48000
     n = 60 * rate
-    model = synth.ChannelModel()
     # quiet ambient bed, environment-rendered like the generator's own beds
     bed_mono = synth._background(60.0, rate, rng)[:n]
-    audio = synth.render_environment(bed_mono, model, rng, rate_hz=rate)
+    audio = synth.render_environment(bed_mono, rng, rate_hz=rate)
     audio *= np.float32(3e-3 / np.sqrt(np.mean(audio[0].astype(np.float64) ** 2)))
     marks = []
     for k in range(10):
         at_s = 3.0 + 5.7 * k
         dur = float(rng.uniform(0.35, 0.75))
         cough = synth.render_subject(
-            synth.synth_cough(dur, rate, rng, peak_range=(0.5, 0.9)),
-            model, rng, rate_hz=rate)
+            synth.synth_cough(dur, rate, rng, peak_range=(0.5, 0.9)), rng, rate_hz=rate)
         i0 = round(at_s * rate)
         audio[:, i0:i0 + cough.shape[1]] += cough
         marks.append((at_s, at_s + dur))

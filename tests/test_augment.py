@@ -17,7 +17,6 @@ from anccough.augment import (
     time_shift,
 )
 from anccough.dsp import DualChannelWindow
-from anccough.synth import generate_noise_pool
 from anccough.errors import (
     EmptyNoisePool,
     FractionOutOfRange,
@@ -25,6 +24,7 @@ from anccough.errors import (
     ShiftTooLarge,
     SilentInput,
 )
+from anccough.synth import generate_noise_pool
 from conftest import make_window
 
 
@@ -285,8 +285,6 @@ def test_load_noise_pool_from_directory(tmp_path):
     assert all(w.data.shape == (2, 4000) for w in pool)
 
 
-def test_plan_validation():
-    with pytest.raises(FractionOutOfRange):
-        AugmentPlan(mask_fraction_range=(0.0, 0.5))
+def test_plan_rejects_negative_copies():
     with pytest.raises(ValueError):
-        AugmentPlan(gain_db_range=(3.0, -3.0))
+        AugmentPlan(copies_per_clip=-1)

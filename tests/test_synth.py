@@ -11,7 +11,6 @@ from anccough.synth import (
     ENV_COUGH_LABEL,
     SUBJECT_COUGH_LABELS,
     AnnotatedSegment,
-    ChannelModel,
     DatasetManifest,
     GeneratorConfig,
     generate_noise_pool,
@@ -121,70 +120,57 @@ def test_band_noise_at_a_fast_length_is_the_exact_inverse():
 # --- channel rendering ---
 
 def test_render_subject_silence_and_level():
-    model = ChannelModel()
     silent = np.zeros(4800, np.float32)
-    out = render_subject(silent, model, np.random.default_rng(0))
+    out = render_subject(silent, np.random.default_rng(0))
     assert np.abs(out).max() < 1e-9
     x = band_noise_48k(48000, 350, 4000, seed=1)
-    out = render_subject(x, model, np.random.default_rng(1))
+    out = render_subject(x, np.random.default_rng(1))
     assert np.array_equal(out[0], x)
     assert rms(out[1]) >= rms(out[0])
 
 
 def test_render_subject_shelf_boosts_lows_more():
-    model = ChannelModel()
     t = np.arange(48000) / 48000
     low = np.sin(2 * np.pi * 200 * t).astype(np.float32)
     high = np.sin(2 * np.pi * 2000 * t).astype(np.float32)
-    out_low = render_subject(low, model, np.random.default_rng(2))
-    out_high = render_subject(high, model, np.random.default_rng(2))
+    out_low = render_subject(low, np.random.default_rng(2))
+    out_high = render_subject(high, np.random.default_rng(2))
     gain_low = rms(out_low[1]) / rms(out_low[0])
     gain_high = rms(out_high[1]) / rms(out_high[0])
     assert gain_low > gain_high
 
 
 def test_render_environment_isolation_interval():
-    model = ChannelModel()
     x = band_noise_48k(48000, 350, 4000, seed=3, tilted=True)
     for seed in range(8):
-        out = render_environment(x, model, np.random.default_rng(seed))
+        out = render_environment(x, np.random.default_rng(seed))
         diff_db = 20 * np.log10(rms(out[0]) / rms(out[1]))
         assert 13.0 <= diff_db <= 32.0  # drawn from [15, 30]; comb ripple slack
 
 
 def test_render_environment_silence():
-    out = render_environment(np.zeros(4800, np.float32), ChannelModel(),
-                             np.random.default_rng(0))
+    out = render_environment(np.zeros(4800, np.float32), np.random.default_rng(0))
     assert np.abs(out).max() < 1e-9
 
 
 def test_render_environment_lowpass_ordering():
     # narrowband noise probes; averaged over draws to wash out comb ripple
-    model = ChannelModel()
     low = band_noise_48k(48000, 250, 350, seed=4)
     high = band_noise_48k(48000, 2800, 3300, seed=5)
     atten_low, atten_high = [], []
     for seed in range(6):
-        out_l = render_environment(low, model, np.random.default_rng(seed))
-        out_h = render_environment(high, model, np.random.default_rng(seed))
+        out_l = render_environment(low, np.random.default_rng(seed))
+        out_h = render_environment(high, np.random.default_rng(seed))
         atten_low.append(rms(out_l[0]) / rms(out_l[1]))
         atten_high.append(rms(out_h[0]) / rms(out_h[1]))
     assert np.mean(atten_high) > np.mean(atten_low)
 
 
 def test_render_environment_fixed_isolation():
-    model = ChannelModel()
     x = band_noise_48k(48000, 350, 4000, seed=6, tilted=True)
-    out = render_environment(x, model, np.random.default_rng(3), isolation_db=20.0)
+    out = render_environment(x, np.random.default_rng(3), isolation_db=20.0)
     diff_db = 20 * np.log10(rms(out[0]) / rms(out[1]))
     assert abs(diff_db - 20.0) < 2.5
-
-
-def test_channel_model_validation():
-    with pytest.raises(ValueError):
-        ChannelModel(env_isolation_db=(5.0, 30.0))
-    with pytest.raises(ValueError):
-        ChannelModel(env_isolation_db=(30.0, 15.0))
 
 
 # --- noise pool ---
