@@ -88,6 +88,10 @@ class UnsupportedVersion(AnccoughError, ValueError):
     """Model file declares a format version this reader does not know."""
 
 
+class NonFiniteWeights(AnccoughError, ValueError):
+    """Model file holds a NaN or infinite weight or bias."""
+
+
 # --- training / evaluation ---
 
 class OverlappingUserSets(AnccoughError):

@@ -20,13 +20,14 @@ docs/model-format.md.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CrcMismatch, InvalidSpec, TruncatedFile, UnsupportedVersion
+from .errors import BadMagic, CrcMismatch, InvalidSpec, NonFiniteWeights, TruncatedFile, UnsupportedVersion
 from .net import (
     Conv1d,
     Conv2d,
@@ -122,7 +123,7 @@ def load_model(path: str | Path) -> tuple[ModelSpec, list[np.ndarray]]:
         raise InvalidSpec(f"{path}: {exc}") from exc
 
     shapes = param_shapes(spec)
-    weight_bytes = sum(int(np.prod(s)) for s in shapes) * 4
+    weight_bytes = sum(math.prod(s) for s in shapes) * 4
     expected_len = pos + weight_bytes + 4
     if len(raw) < expected_len:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, expected {expected_len}")
@@ -134,10 +135,13 @@ def load_model(path: str | Path) -> tuple[ModelSpec, list[np.ndarray]]:
         raise CrcMismatch(f"{path}: checksum mismatch")
 
     params = []
-    for shape in shapes:
-        count = int(np.prod(shape))
+    for i, shape in enumerate(shapes):
+        count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            at = pos + 4 * int(np.argmin(finite))
+            raise NonFiniteWeights(f"{path}: array {i} holds a non-finite value at offset {at}")
         params.append(arr.reshape(shape).astype(np.float32))
         pos += count * 4
-    validate_params(spec, params)
     return spec, params

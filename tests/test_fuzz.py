@@ -7,16 +7,19 @@ of a valid file. Example counts come from the profile in conftest.py.
 
 import json
 import math
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anccough import wavio
+from anccough import net, wavio
 from anccough.dsp import SUPPORTED_RATES, DualChannelRecording, load_recording
 from anccough.errors import AnccoughError
+from anccough.model_io import load_model, save_model
 from anccough.synth import (
     EVENT_LABELS,
     AnnotatedSegment,
@@ -136,3 +139,52 @@ def test_read_wav_and_load_recording_parse_or_raise(tmp_path_factory, data):
     if rec is not None:
         assert isinstance(rec, DualChannelRecording) and rec.sample_rate_hz in SUPPORTED_RATES
         assert np.isfinite(rec.stacked()).all()
+
+
+# --- model files ---
+
+def _model_bytes() -> bytes:
+    spec = net.reduced_spec(64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.ecn1"
+        save_model(spec, net.init_params(spec, seed=5), path)
+        return path.read_bytes()
+
+
+def _with_crc(data: bytes) -> bytes:
+    """The body of `data` (all but its last four bytes) with a matching CRC."""
+    body = data[:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _with_float(valid: bytes, word: int, value: float) -> bytes:
+    """`valid` with the word-th four bytes before its CRC set to `value`; the
+    words line up with the weights, which end where the CRC starts."""
+    out = bytearray(valid)
+    struct.pack_into("<f", out, len(out) - 8 - 4 * word, value)
+    return _with_crc(bytes(out))
+
+
+VALID_MODEL = _model_bytes()
+
+
+def _check_load_model(path, data):
+    loaded = _reads(path, data, load_model)
+    if loaded is not None:
+        spec, params = loaded
+        assert isinstance(spec, net.ModelSpec)
+        net.validate_params(spec, params)
+        assert all(p.dtype == np.float32 for p in params)
+
+
+@given(data=hostile(VALID_MODEL) | hostile(VALID_MODEL).map(_with_crc))
+def test_load_model_parses_or_raises(tmp_path_factory, data):
+    _check_load_model(tmp_path_factory.getbasetemp() / "m.ecn1", data)
+
+
+@given(word=st.integers(0, (len(VALID_MODEL) - 8) // 4),
+       value=st.floats(width=32) | st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_load_model_with_any_weight_value_parses_or_raises(tmp_path_factory, word, value):
+    """One word, most often a weight, set to any float32 under a matching CRC."""
+    _check_load_model(tmp_path_factory.getbasetemp() / "m.ecn1",
+                      _with_float(VALID_MODEL, word, value))

@@ -12,6 +12,7 @@ from anccough.errors import (
     BadMagic,
     CrcMismatch,
     InvalidSpec,
+    NonFiniteWeights,
     TruncatedFile,
     UnsupportedVersion,
 )
@@ -131,6 +132,19 @@ def test_unsupported_version_is_typed(saved):
         load_model(path)
     assert isinstance(exc.value, AnccoughError) and isinstance(exc.value, ValueError)
     assert str(path) in str(exc.value) and "version 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("array,index,value", [(0, 0, float("nan")), (3, 1, float("-inf"))])
+def test_non_finite_weight_is_typed_and_located(saved, array, index, value):
+    spec, params, path = saved
+    at = (_HEADER_STRUCT.size + len(spec.layers) * _LAYER_STRUCT.size
+          + 4 * sum(p.size for p in params[:array]) + 4 * index)
+    _rewrite_with_crc(path, lambda raw: struct.pack_into("<f", raw, at, value))
+    with pytest.raises(NonFiniteWeights) as exc:
+        load_model(path)
+    assert isinstance(exc.value, AnccoughError) and isinstance(exc.value, ValueError)
+    assert str(path) in str(exc.value)
+    assert f"array {array} " in str(exc.value) and f"offset {at}" in str(exc.value)
 
 
 def test_empty_file(saved):
