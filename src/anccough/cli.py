@@ -41,6 +41,16 @@ def _split_from_args(args, manifest) -> pipeline.SplitConfig:
     return pipeline.default_split(manifest.user_ids())
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-users", default="", help="comma-separated user ids")
     p.add_argument("--val-users", default="", help="comma-separated user ids")
@@ -53,7 +63,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--optimizer", choices=pipeline.OPTIMIZERS, default="adam")
     p.add_argument("--patience", type=int, default=4)
-    p.add_argument("--copies", type=int, default=1,
+    p.add_argument("--copies", type=_non_negative_int, default=1,
                    help="augmented copies per training clip (0 disables augmentation)")
     p.add_argument("--class-weighting", action="store_true",
                    help="inverse-frequency loss weighting (recommended on synthetic data)")
@@ -259,6 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_value(parser: argparse.ArgumentParser, a: argparse.Action, text: str):
+    """A config file entry converted and checked as its flag would be."""
+    if isinstance(a.const, bool):  # a store_true switch
+        if text.lower() not in _BOOLEAN_WORDS:
+            parser.error(f"--config: {a.dest} wants true or false, not {text!r}")
+        return _BOOLEAN_WORDS[text.lower()]
+    try:
+        value = a.type(text) if a.type is not None else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        parser.error(f"--config: invalid {a.dest} value {text!r}: {exc}")
+    if a.choices is not None and value not in a.choices:
+        choices = ", ".join(map(str, a.choices))
+        parser.error(f"--config: {a.dest} value {text!r} is not one of {choices}")
+    return value
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if "--config" not in argv:
         return
@@ -286,15 +315,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         typed = {}
         for a in action._actions:  # noqa: SLF001
             if a.dest in overrides:
-                if a.type is not None:
-                    try:
-                        typed[a.dest] = a.type(overrides[a.dest])
-                    except (TypeError, ValueError):
-                        parser.error(f"--config: invalid {a.dest} value {overrides[a.dest]!r}")
-                elif isinstance(a.const, bool) or isinstance(a.default, bool):
-                    typed[a.dest] = overrides[a.dest].lower() in ("1", "true", "yes")
-                else:
-                    typed[a.dest] = overrides[a.dest]
+                typed[a.dest] = _config_value(parser, a, overrides[a.dest])
         action.set_defaults(**typed)
 
 

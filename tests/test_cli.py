@@ -229,6 +229,33 @@ def test_bad_config_is_usage_error(tmp_path, capsys, config_text):
         assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config_text,named", [
+    ("optimizer=bogus\n", "optimizer"),
+    ("rate=12345\n", "rate"),
+    ("class_weighting=ture\n", "class_weighting"),
+    ("copies=-1\n", "copies"),
+], ids=["unknown-choice", "rate-not-a-choice", "misspelt-boolean", "negative-copies"])
+def test_config_values_get_their_flags_checks(tmp_path, capsys, config_text, named):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg_path), "train", "--manifest", str(tmp_path / "manifest.json"),
+              "--out", str(tmp_path / "m.ecn1")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and named in err and "Traceback" not in err
+
+
+def test_negative_copies_flag_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--manifest", str(tmp_path / "manifest.json"),
+              "--out", str(tmp_path / "m.ecn1"), "--copies", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and "--copies" in err and "Traceback" not in err
+    assert not (tmp_path / "m.ecn1.run.json").exists()
+
+
 @pytest.mark.parametrize("doc,field", [
     ({}, "'format_version'"),
     ([], "list"),
