@@ -6,6 +6,8 @@
 # (body conduction); environmental sounds arrive 15-30 dB quieter there
 # (passive isolation). That contrast is what the detector learns to use.
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from anccough import generate_dataset, load_recording
 from anccough.synth import ENV_COUGH_LABEL, SUBJECT_COUGH_LABELS, read_annotations
 
 root = Path(tempfile.mkdtemp(prefix="anccough_demo_"))
+atexit.register(shutil.rmtree, root)  # the dataset goes when the demo ends
 manifest = generate_dataset(root, n_users=2, seed=42)
 print(f"wrote {len(manifest.entries)} recordings under {root}\n")
 

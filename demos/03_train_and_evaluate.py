@@ -7,6 +7,8 @@
 # This small four-user run takes a couple of minutes on a laptop; the full
 # ten-user study lives in tests/test_acceptance.py.
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from anccough import (
 from anccough.synth import generate_noise_pool
 
 root = Path(tempfile.mkdtemp(prefix="anccough_demo_"))
+atexit.register(shutil.rmtree, root)  # the dataset goes when the demo ends
 manifest = generate_dataset(root, n_users=4, seed=11)
 
 split = SplitConfig(train_users=(0, 1), val_users=(2,), test_users=(3,))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,13 +42,36 @@ def _split_from_args(args, manifest) -> pipeline.SplitConfig:
     return pipeline.default_split(manifest.user_ids())
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(low: int):
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return check
+
+
+_non_negative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
+
+
+def _finite_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
 
@@ -58,11 +82,11 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=_positive_int, default=20)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--optimizer", choices=pipeline.OPTIMIZERS, default="adam")
-    p.add_argument("--patience", type=int, default=4)
+    p.add_argument("--patience", type=_positive_int, default=4)
     p.add_argument("--copies", type=_non_negative_int, default=1,
                    help="augmented copies per training clip (0 disables augmentation)")
     p.add_argument("--class-weighting", action="store_true",
@@ -223,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the synthetic dual-channel dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--users", type=int, default=10)
+    p.add_argument("--users", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -243,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite_float, default=0.5)
     _add_split_flags(p)
     p.set_defaults(func=cmd_eval)
 
@@ -263,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wav", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", default=None, help="NDJSON path (default: stdout)")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite_float, default=0.5)
     p.set_defaults(func=cmd_detect)
 
     return parser
@@ -324,8 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
-    if args.command == "synth" and args.users < 1:
-        parser.error("--users must be a positive integer")
     try:
         return args.func(args)
     except (AnccoughError, OSError, ValueError) as exc:

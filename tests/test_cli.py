@@ -145,14 +145,42 @@ def test_runtime_error_is_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_train_zero_epochs_is_exit_one_and_writes_nothing(small_dataset, tmp_path, capsys):
+def test_train_zero_epochs_is_usage_error_and_writes_nothing(small_dataset, tmp_path, capsys):
     root, _ = small_dataset
     out_dir = tmp_path / "out"
-    code = main(["train", "--manifest", str(root / "manifest.json"), "--rate", "8000",
-                 "--out", str(out_dir / "model.ecn1"), "--epochs", "0", "--copies", "0"])
-    assert code == 1
-    assert "epochs_max" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--manifest", str(root / "manifest.json"), "--rate", "8000",
+              "--out", str(out_dir / "model.ecn1"), "--epochs", "0", "--copies", "0"])
+    assert exc.value.code == 2
+    assert "--epochs" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--epochs", "0"),
+    ("train", "--batch-size", "0"),
+    ("train", "--patience", "0"),
+    ("train", "--lr", "-1"),
+    ("train", "--lr", "0"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("ablate", "--batch-size", "-3"),
+    ("eval", "--threshold", "inf"),
+    ("detect", "--threshold", "nan"),
+])
+def test_out_of_domain_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    """Rejected by argparse before any input is read: the named files do not exist."""
+    inputs = {
+        "train": ["--manifest", "m.json", "--out", "m.ecn1"],
+        "ablate": ["--manifest", "m.json", "--out-dir", "out"],
+        "eval": ["--manifest", "m.json", "--model", "m.ecn1", "--out-dir", "out"],
+        "detect": ["--wav", "x.wav", "--model", "m.ecn1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *(str(tmp_path / a) if a[0] != "-" else a for a in inputs), flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and flag in err and "Traceback" not in err
 
 
 def test_train_eval_round_trip(small_dataset, tmp_path, capsys):
@@ -234,7 +262,11 @@ def test_bad_config_is_usage_error(tmp_path, capsys, config_text):
     ("rate=12345\n", "rate"),
     ("class_weighting=ture\n", "class_weighting"),
     ("copies=-1\n", "copies"),
-], ids=["unknown-choice", "rate-not-a-choice", "misspelt-boolean", "negative-copies"])
+    ("epochs=0\n", "epochs"),
+    ("lr=nan\n", "lr"),
+    ("lr=-0.1\n", "lr"),
+], ids=["unknown-choice", "rate-not-a-choice", "misspelt-boolean", "negative-copies",
+        "zero-epochs", "nan-lr", "negative-lr"])
 def test_config_values_get_their_flags_checks(tmp_path, capsys, config_text, named):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(config_text)

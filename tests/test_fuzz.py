@@ -1,10 +1,13 @@
 """Hostile-input properties: each file reader returns a valid result or raises
-an AnccoughError, whatever bytes it is given.
+an AnccoughError, whatever bytes it is given, and any --config file either
+runs or is a usage error.
 
 Inputs are arbitrary bytes, arbitrary text, and byte mutations and truncations
 of a valid file. Example counts come from the profile in conftest.py.
 """
 
+import contextlib
+import io
 import json
 import math
 import struct
@@ -17,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anccough import net, wavio
+from anccough.cli import main
 from anccough.dsp import SUPPORTED_RATES, DualChannelRecording, load_recording
 from anccough.errors import AnccoughError
 from anccough.model_io import load_model, save_model
@@ -188,3 +192,31 @@ def test_load_model_with_any_weight_value_parses_or_raises(tmp_path_factory, wor
     """One word, most often a weight, set to any float32 under a matching CRC."""
     _check_load_model(tmp_path_factory.getbasetemp() / "m.ecn1",
                       _with_float(VALID_MODEL, word, value))
+
+
+# --- --config files ---
+
+# Every flag of every subcommand, some spelt with dashes, but not --out: the
+# command line below sets it, so profile's CSV goes to a temporary file.
+CONFIG_KEYS = (
+    "users", "seed", "manifest", "rate", "checkpoint-dir", "noise_dir", "epochs",
+    "batch-size", "lr", "optimizer", "patience", "copies", "class_weighting",
+    "train-users", "val_users", "test-users", "model", "out-dir", "threshold", "wav", "help",
+)
+
+config_lines = st.text(max_size=40) | st.builds(
+    "{}={}".format, st.sampled_from(CONFIG_KEYS), st.text(max_size=12))
+
+
+@given(text=st.lists(config_lines, max_size=6).map("\n".join))
+def test_any_config_file_runs_or_is_a_usage_error(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    config = base / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--config", str(config), "profile", "--out", str(base / "p.csv")])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0 or (code == 2 and "error:" in err.getvalue())

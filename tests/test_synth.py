@@ -1,12 +1,14 @@
 """Generator tests: cough synthesis, channel rendering, dataset invariants."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
-from anccough import synth
+from anccough import synth, wavio
 from anccough.dsp import load_recording
+from anccough.errors import IoFailure
 from anccough.synth import (
     ENV_COUGH_LABEL,
     SUBJECT_COUGH_LABELS,
@@ -326,6 +328,103 @@ def test_dataset_matches_recorded_digest(tmp_path):
         h.update(path.relative_to(tmp_path).as_posix().encode())
         h.update(path.read_bytes())
     assert h.hexdigest() == SMALL_DATASET_DIGEST
+
+
+def tree_digest(root):
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+# --- rendering on threads ---
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_dataset_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(synth, "_render_thread_count", lambda: threads)
+    before = threading.active_count()
+    manifest = synth.generate_dataset(tmp_path, n_users=2, seed=3, config=SMALL_CONFIG)
+    assert threading.active_count() == before
+    assert tree_digest(tmp_path) == SMALL_DATASET_DIGEST
+    assert manifest == read_manifest(tmp_path / synth.MANIFEST_FILENAME)
+
+
+def test_render_thread_count_is_capped():
+    assert 1 <= synth._render_thread_count() <= synth._RENDER_THREADS_MAX
+
+
+def test_one_cpu_starts_no_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert synth._render_thread_count() == 1
+    before = threading.active_count()
+    seen = []
+    write_wav = wavio.write_wav
+
+    def spy_write(*args, **kwargs):
+        seen.append(threading.active_count())
+        return write_wav(*args, **kwargs)
+
+    monkeypatch.setattr(wavio, "write_wav", spy_write)
+    synth.generate_dataset(tmp_path, n_users=1, seed=3, config=SMALL_CONFIG)
+    assert seen and set(seen) == {before}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("failing_group", [0, 1])  # T = 2: the caller's, then a helper's
+def test_a_failed_render_propagates_and_leaves_no_thread(tmp_path, monkeypatch, threads,
+                                                         failing_group):
+    monkeypatch.setattr(synth, "_render_thread_count", lambda: threads)
+    build = synth._build_recording
+    boom = RuntimeError("render failed")
+
+    def flaky_build(group, environment, *rest):
+        # the second environment's recordings, so some files are already written
+        if environment == "noisy" and group == synth.ACTIVITY_GROUPS[failing_group][0]:
+            raise boom
+        return build(group, environment, *rest)
+
+    monkeypatch.setattr(synth, "_build_recording", flaky_build)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        synth.generate_dataset(tmp_path, n_users=1, seed=3, config=SMALL_CONFIG)
+    assert exc.value is boom
+    assert threading.active_count() == before
+    assert not (tmp_path / synth.MANIFEST_FILENAME).exists()
+
+
+def test_every_wav_is_written_on_the_calling_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "_render_thread_count", lambda: 2)
+    write_wav = wavio.write_wav
+    writers, renderers = [], set()
+
+    def spy_write(*args, **kwargs):
+        writers.append(threading.get_ident())
+        return write_wav(*args, **kwargs)
+
+    build = synth._build_recording
+
+    def spy_build(*args):
+        renderers.add(threading.get_ident())
+        return build(*args)
+
+    monkeypatch.setattr(wavio, "write_wav", spy_write)
+    monkeypatch.setattr(synth, "_build_recording", spy_build)
+    manifest = synth.generate_dataset(tmp_path, n_users=1, seed=3, config=SMALL_CONFIG)
+    assert len(writers) == len(manifest.entries)
+    assert set(writers) == {threading.get_ident()}
+    assert len(renderers) == 2  # the caller and one helper both rendered
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_unwritable_out_dir_is_io_failure(tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(synth, "_render_thread_count", lambda: threads)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    before = threading.active_count()
+    with pytest.raises(IoFailure, match="failed writing dataset"):
+        synth.generate_dataset(blocker / "ds", n_users=1, seed=3, config=SMALL_CONFIG)
+    assert threading.active_count() == before
 
 
 def test_dataset_rejects_bad_user_count(tmp_path):
