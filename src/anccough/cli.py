@@ -91,7 +91,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="augmented copies per training clip (0 disables augmentation)")
     p.add_argument("--class-weighting", action="store_true",
                    help="inverse-frequency loss weighting (recommended on synthetic data)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
 
 def _train_cfg_from_args(args) -> pipeline.TrainConfig:
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic dual-channel dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--users", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one sampling-rate variant")

@@ -43,7 +43,6 @@ class DualChannelRecording:
     samples_ff: np.ndarray
     samples_fb: np.ndarray
     sample_rate_hz: int
-    source_id: str = ""
 
     def __post_init__(self) -> None:
         self.samples_ff = np.asarray(self.samples_ff, dtype=np.float32)
@@ -75,7 +74,6 @@ class DualChannelWindow:
 
     data: np.ndarray  # (2, L) with L = sample_rate_hz // 2
     sample_rate_hz: int
-    source_id: str = ""
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -104,7 +102,6 @@ def load_recording(path: str | Path) -> DualChannelRecording:
             samples_ff=frames[:, 0],
             samples_fb=frames[:, 1],
             sample_rate_hz=rate,
-            source_id=str(path),
         )
     except NonFiniteSamples:
         frame = int(np.argmin(np.isfinite(frames).all(axis=1)))
@@ -182,9 +179,8 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
         )
     factor = rec.sample_rate_hz // target_rate_hz
     if factor == 1:
-        return DualChannelRecording(
-            rec.samples_ff.copy(), rec.samples_fb.copy(), rec.sample_rate_hz, rec.source_id
-        )
+        return DualChannelRecording(rec.samples_ff.copy(), rec.samples_fb.copy(),
+                                    rec.sample_rate_hz)
     spectra, sub_len, lead = _polyphase_filter(factor)
     hop = _DECIMATE_FFT_LEN - (sub_len - 1)  # outputs per block
     n, out_len = len(rec), len(rec) // factor
@@ -209,7 +205,7 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
         spectrum *= spectra
         filtered = fft.irfft(spectrum.sum(axis=1), _DECIMATE_FFT_LEN, axis=-1)[..., sub_len - 1:]
         out[:, m0:m0 + count] = filtered.reshape(2, -1)[:, :count]
-    return DualChannelRecording(out[0], out[1], target_rate_hz, rec.source_id)
+    return DualChannelRecording(out[0], out[1], target_rate_hz)
 
 
 def slice_windows(rec: DualChannelRecording) -> list[DualChannelWindow]:
@@ -223,7 +219,6 @@ def slice_windows(rec: DualChannelRecording) -> list[DualChannelWindow]:
             DualChannelWindow(
                 data=data[:, start:start + length].copy(),
                 sample_rate_hz=rec.sample_rate_hz,
-                source_id=rec.source_id,
                 start_s=start / rec.sample_rate_hz,
             )
         )

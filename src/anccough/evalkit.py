@@ -88,29 +88,16 @@ def report_from_predictions(
     pred = np.asarray(pred_subject, dtype=bool)
 
     is_subject = truth == "subject_cough"
-    is_env = truth == "env_cough"
-
-    tp = int(np.sum(is_subject & pred))
-    fn = int(np.sum(is_subject & ~pred))
-    fp = int(np.sum(~is_subject & pred))
-    tn = int(np.sum(~is_subject & ~pred))
-    total = len(truth)
-    acc1 = (tp + tn) / total if total else 0.0
-    f1_1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else 0.0
-
-    tp2 = tp
-    fn2 = fn
-    fp2 = int(np.sum(is_env & pred))
-    tn2 = int(np.sum(is_env & ~pred))
-    cough_total = tp2 + fn2 + fp2 + tn2
-    acc2 = (tp2 + tn2) / cough_total if cough_total else 0.0
-    f1_2 = 2 * tp2 / (2 * tp2 + fp2 + fn2) if (2 * tp2 + fp2 + fn2) > 0 else 0.0
+    confusion, acc1, f1_1 = pipeline._binary_scores(is_subject, pred)
+    # task 2 scores the cough windows only: subject against environmental
+    cough = is_subject | (truth == "env_cough")
+    confusion2, acc2, f1_2 = pipeline._binary_scores(is_subject[cough], pred[cough])
 
     return MetricsReport(
-        confusion=((tp, fn), (fp, tn)),
+        confusion=confusion,
         acc1=acc1,
         f1_1=f1_1,
-        confusion_cough_only=((tp2, fn2), (fp2, tn2)),
+        confusion_cough_only=confusion2,
         acc2=acc2,
         f1_2=f1_2,
         resource=resource,

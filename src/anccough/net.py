@@ -457,17 +457,12 @@ def _run_backward(cache: list[tuple], dh: np.ndarray) -> list[np.ndarray]:
     return grads
 
 
-def _as_input(spec: ModelSpec, window, dtype) -> np.ndarray:
+def forward(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, float]:
+    """Probabilities (p_subject_cough, p_other) for one normalized window."""
     data = window.data if isinstance(window, DualChannelWindow) else np.asarray(window)
     if tuple(data.shape) != spec.input_shape:
         raise ShapeMismatch(f"input shape {data.shape} != {spec.input_shape}")
-    return data.astype(dtype)
-
-
-def forward(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, float]:
-    """Probabilities (p_subject_cough, p_other) for one normalized window."""
-    x = _as_input(spec, window, params[0].dtype)[None]
-    logits, _ = _run_forward(spec, params, x, keep_cache=False)
+    logits, _ = _run_forward(spec, params, data.astype(params[0].dtype)[None], keep_cache=False)
     probs = _softmax(logits)[0]
     return float(probs[CLASS_SUBJECT]), float(probs[CLASS_OTHER])
 
@@ -480,17 +475,15 @@ def forward_batch(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> n
     return _softmax(logits)
 
 
-def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray,
-                  batch_size: int | None = None) -> np.ndarray:
+def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Chunked forward_batch, keeping intermediate activations bounded.
 
-    By default a chunk holds as many windows as fit CHUNK_BYTES of the
-    largest layer activation, so each layer's working set stays cache-sized.
-    Scores do not depend on the chunking.
+    A chunk holds as many windows as fit CHUNK_BYTES of the largest layer
+    activation, so each layer's working set stays cache-sized. Scores do not
+    depend on the chunking.
     """
-    if batch_size is None:
-        largest = max(int(np.prod(s)) for s in activation_shapes(spec))
-        batch_size = max(1, CHUNK_BYTES // (largest * params[0].dtype.itemsize))
+    largest = max(int(np.prod(s)) for s in activation_shapes(spec))
+    batch_size = max(1, CHUNK_BYTES // (largest * params[0].dtype.itemsize))
     outs = [forward_batch(spec, params, x[i:i + batch_size])
             for i in range(0, len(x), batch_size)]
     return np.concatenate(outs, axis=0)
@@ -520,40 +513,3 @@ def loss_and_grads(
     grads = _run_backward(cache, dlogits.astype(probs.dtype))
     return loss, grads
 
-
-# ---------------------------------------------------------------------------
-# double-buffered executor
-# ---------------------------------------------------------------------------
-
-def forward_arena(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, float]:
-    """Forward pass through a two-region activation arena.
-
-    Demonstrates that one input buffer plus the largest consecutive pair of
-    layer outputs is a sufficient activation budget: every layer writes its
-    output into whichever end of the arena its input does not occupy. Each
-    layer runs the same step as forward(), so the probabilities are identical.
-    """
-    from .profile import profile  # local import; profile depends on this module
-
-    dtype = params[0].dtype
-    shapes = activation_shapes(spec)
-    out_floats = [int(np.prod(s)) for s in shapes[1:]]
-    arena_floats = profile(spec).peak_activation_bytes // BYTES_PER_VALUE \
-        - int(np.prod(spec.input_shape))
-    arena = np.empty(arena_floats, dtype=dtype)
-
-    cur = _as_input(spec, window, dtype)  # the dedicated input buffer
-    cur_at_start = False  # input lives outside the arena; first output at start
-    cur_len = 0
-    for (layer, weights, is_last), shape, n_out in zip(
-            _layer_plan(spec, params), shapes[1:], out_floats):
-        assert cur_len + n_out <= arena_floats, "arena budget violated"
-        view = arena[:n_out] if not cur_at_start else arena[arena_floats - n_out:]
-        out = view.reshape(shape)
-        batch_out, _ = _layer_forward(layer, cur[None], weights, is_last, keep_cache=False)
-        out[...] = batch_out[0]
-        cur = out
-        cur_len = n_out
-        cur_at_start = not cur_at_start
-    probs = _softmax(cur[None])[0]
-    return float(probs[CLASS_SUBJECT]), float(probs[CLASS_OTHER])

@@ -169,15 +169,18 @@ def _binary_label(label: str) -> int:
     return net.CLASS_SUBJECT if label == "subject_cough" else net.CLASS_OTHER
 
 
-def _binary_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
-    """Accuracy and F1 with the subject class as positive."""
-    pos = net.CLASS_SUBJECT
-    tp = int(np.sum((y_true == pos) & (y_pred == pos)))
-    fp = int(np.sum((y_true != pos) & (y_pred == pos)))
-    fn = int(np.sum((y_true == pos) & (y_pred != pos)))
-    acc = float(np.mean(y_true == y_pred)) if len(y_true) else 0.0
-    f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else 0.0
-    return acc, f1
+def _binary_scores(truth: np.ndarray, pred: np.ndarray):
+    """Confusion ((tp, fn), (fp, tn)), accuracy and F1 of boolean predictions
+    against boolean truth. Each score is integer counts divided once, or 0.0
+    where its denominator is 0."""
+    tp = int(np.sum(truth & pred))
+    fn = int(np.sum(truth & ~pred))
+    fp = int(np.sum(~truth & pred))
+    tn = int(np.sum(~truth & ~pred))
+    total = tp + fn + fp + tn
+    acc = (tp + tn) / total if total else 0.0
+    f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
+    return ((tp, fn), (fp, tn)), acc, f1
 
 
 MOMENTUM = 0.9  # velocity decay of the "momentum" optimizer
@@ -218,7 +221,7 @@ class _Optimizer:
 
 
 def _stack_normalized(windows: list[DualChannelWindow]) -> np.ndarray:
-    return np.stack([normalize(w).data for w in windows]).astype(np.float32)
+    return np.stack([normalize(w).data for w in windows])
 
 
 def train(
@@ -255,7 +258,7 @@ def train(
     x = _stack_normalized(aug_windows)
     y = np.array([_binary_label(l) for l in aug_labels], dtype=np.int64)
     x_val = _stack_normalized([lw.window for lw in val_set])
-    y_val = np.array([_binary_label(lw.label) for lw in val_set], dtype=np.int64)
+    val_subject = np.array([_binary_label(lw.label) == net.CLASS_SUBJECT for lw in val_set])
 
     if cfg.class_weighting:
         counts = np.bincount(y, minlength=2).astype(np.float64)
@@ -287,9 +290,7 @@ def train(
         train_loss = total_loss / len(order)
 
         probs = net.predict_probs(spec, params, x_val)
-        y_pred = np.where(probs[:, net.CLASS_SUBJECT] >= 0.5,
-                          net.CLASS_SUBJECT, net.CLASS_OTHER)
-        val_acc1, val_f1 = _binary_metrics(y_val, y_pred)
+        _, val_acc1, val_f1 = _binary_scores(val_subject, probs[:, net.CLASS_SUBJECT] >= 0.5)
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_acc1": val_acc1, "val_f1_1": val_f1})
 

@@ -4,9 +4,11 @@ Conventions, fixed so cross-variant comparisons are well defined:
 
 - FLOPs count 2 per multiply-accumulate, over convolution and dense layers
   only (pooling, rectifier, and softmax are excluded).
-- Space is 32-bit everywhere: the weights plus the activation budget of a
-  double-buffered executor, i.e. the input buffer plus the largest sum of two
-  consecutive layer outputs. kB means 1000 bytes.
+- Space is 32-bit everywhere: the weights plus a double-buffer activation
+  budget, i.e. the input buffer plus the largest sum of two consecutive layer
+  outputs (each layer reads one region and writes the other). This models an
+  on-device runtime; the numpy engine here allocates per layer instead.
+  kB means 1000 bytes.
 """
 
 from __future__ import annotations

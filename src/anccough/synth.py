@@ -5,8 +5,10 @@ conduction through the in-ear seal); far-field environmental sounds reach the
 feedback channel attenuated, low-passed and slightly delayed (passive
 isolation). That inter-channel contrast is the separability the detector's
 subject-awareness relies on. All level and filter constants here are physical
-surrogates, fixed as module constants, not measured claims; only the event mix
-(`GeneratorConfig`) is configurable.
+surrogates, fixed as module constants, not measured claims. So are the cough
+and sip durations, the cough peak levels and the ambient bed levels. Only the
+event mix (`GeneratorConfig`: event counts, filler durations, gaps, lead-in) is
+configurable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -100,6 +102,21 @@ ENV_DISTANCE_GAIN_DB = -6.0
 # a floor with a readable texture.
 SENSOR_NOISE_RMS_RANGE = (1.5e-4, 4.0e-4)
 
+# Cough and sip durations, (mean, sd) in seconds: the collected-data averages.
+SINGLE_SITTING_DUR = (0.384, 0.06)
+CONTINUOUS_SITTING_DUR = (0.796, 0.08)
+SINGLE_WALKING_DUR = (0.515, 0.07)
+CONTINUOUS_WALKING_DUR = (0.682, 0.08)
+ENV_COUGH_DUR = (1.166, 0.15)
+SIP_DUR = (0.601, 0.10)
+
+# Peak amplitude ranges of subject and environmental coughs.
+COUGH_PEAK_RANGE = (0.45, 0.9)
+ENV_COUGH_PEAK_RANGE = (0.6, 0.95)
+
+# Feed-forward RMS of the ambient bed in each environment.
+BED_RMS = {"quiet": 0.004, "noisy": 0.018, "env_cough": 0.008}
+
 MANIFEST_FORMAT_VERSION = 1
 MANIFEST_FILENAME = "manifest.json"
 
@@ -145,13 +162,14 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Desk-scale event counts and duration distributions.
+    """The configurable event mix: desk-scale event counts, filler durations,
+    gaps and lead-in.
 
-    Cough durations follow the collected-data averages (single sitting 0.384 s,
-    continuous sitting 0.796 s, single walking 0.515 s, continuous walking
-    0.682 s, environmental 1.166 s). Long filler activities (reading, walking,
-    head movement, apple bites) are shortened so a full ten-user dataset stays
-    tractable; their relative loudness and texture is what matters downstream.
+    Cough and sip durations are not here: they are the module constants
+    `*_DUR`, from the collected-data averages. Long filler activities
+    (laughing, reading, walking, head movement, apple bites) are shortened so
+    a full ten-user dataset stays tractable; their relative loudness and
+    texture is what matters downstream.
     """
 
     single_cough_count: int = 3
@@ -159,12 +177,6 @@ class GeneratorConfig:
     sip_count: int = 2
     env_coughs_per_recording: tuple[int, int] = (2, 3)
 
-    single_sitting_dur: tuple[float, float] = (0.384, 0.06)
-    continuous_sitting_dur: tuple[float, float] = (0.796, 0.08)
-    single_walking_dur: tuple[float, float] = (0.515, 0.07)
-    continuous_walking_dur: tuple[float, float] = (0.682, 0.08)
-    env_cough_dur: tuple[float, float] = (1.166, 0.15)
-    sip_dur: tuple[float, float] = (0.601, 0.10)
     laugh_dur: tuple[float, float] = (1.823, 0.25)
     apple_dur_range: tuple[float, float] = (2.2, 3.2)
     reading_dur_range: tuple[float, float] = (3.0, 4.0)
@@ -173,11 +185,6 @@ class GeneratorConfig:
 
     gap_range_s: tuple[float, float] = (0.6, 1.1)
     lead_s: float = 0.5
-    cough_peak_range: tuple[float, float] = (0.45, 0.9)
-    env_cough_peak_range: tuple[float, float] = (0.6, 0.95)
-    bed_rms: dict = field(
-        default_factory=lambda: {"quiet": 0.004, "noisy": 0.018, "env_cough": 0.008}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +493,7 @@ def generate_noise_pool(n_clips: int, rate_hz: int, seed: int) -> list[DualChann
                            knee_hz=rng.uniform(200, 800), tilt=rng.uniform(0.3, 1.2))
         mono = (rng.uniform(0.2, 0.6) * mono).astype(np.float32)
         data = render_environment(mono, rng, rate_hz=rate_hz)
-        clips.append(DualChannelWindow(data=data, sample_rate_hz=rate_hz,
-                                       source_id=f"noise_pool/{i}"))
+        clips.append(DualChannelWindow(data=data, sample_rate_hz=rate_hz))
     return clips
 
 
@@ -510,15 +516,15 @@ def _planned_events(group: str, environment: str, cfg: GeneratorConfig,
     events: list[tuple[str | None, str, float]] = []
     if group == "single_cough_sitting":
         for _ in range(cfg.single_cough_count):
-            events.append((group, "cough", normal(cfg.single_sitting_dur, 0.2, 0.65)))
+            events.append((group, "cough", normal(SINGLE_SITTING_DUR, 0.2, 0.65)))
     elif group == "continuous_cough_sitting":
         for _ in range(cfg.continuous_cough_count):
-            events.append((group, "cough_train", normal(cfg.continuous_sitting_dur, 0.5, 1.15)))
+            events.append((group, "cough_train", normal(CONTINUOUS_SITTING_DUR, 0.5, 1.15)))
     elif group == "bite_apple":
         events.append((group, "crunch", float(rng.uniform(*cfg.apple_dur_range))))
     elif group == "sip_water":
         for _ in range(cfg.sip_count):
-            events.append((group, "gulp", normal(cfg.sip_dur, 0.35, 0.95)))
+            events.append((group, "gulp", normal(SIP_DUR, 0.35, 0.95)))
     elif group == "laughing":
         events.append((group, "laugh", normal(cfg.laugh_dur, 1.2, 2.6)))
     elif group == "reading":
@@ -529,29 +535,29 @@ def _planned_events(group: str, environment: str, cfg: GeneratorConfig,
         events.append((group, "thuds", float(rng.uniform(*cfg.walking_dur_range))))
     elif group == "single_cough_walking":
         for _ in range(cfg.single_cough_count):
-            events.append((group, "cough", normal(cfg.single_walking_dur, 0.25, 0.85)))
+            events.append((group, "cough", normal(SINGLE_WALKING_DUR, 0.25, 0.85)))
     elif group == "continuous_cough_walking":
         for _ in range(cfg.continuous_cough_count):
-            events.append((group, "cough_train", normal(cfg.continuous_walking_dur, 0.4, 1.0)))
+            events.append((group, "cough_train", normal(CONTINUOUS_WALKING_DUR, 0.4, 1.0)))
     else:
         raise ValueError(f"unknown group {group!r}")
 
     if environment == "env_cough":
         lo, hi = cfg.env_coughs_per_recording
         for _ in range(int(rng.integers(lo, hi + 1))):
-            events.append((ENV_COUGH_LABEL, "env_cough", normal(cfg.env_cough_dur, 0.7, 1.7)))
+            events.append((ENV_COUGH_LABEL, "env_cough", normal(ENV_COUGH_DUR, 0.7, 1.7)))
         rng.shuffle(events)
     return events
 
 
-def _event_sound(kind: str, duration_s: float, cfg: GeneratorConfig,
-                 rng: np.random.Generator, rate_hz: int) -> np.ndarray:
+def _event_sound(kind: str, duration_s: float, rng: np.random.Generator,
+                 rate_hz: int) -> np.ndarray:
     if kind == "cough":
-        return synth_cough(duration_s, rate_hz, rng, peak_range=cfg.cough_peak_range)
+        return synth_cough(duration_s, rate_hz, rng, peak_range=COUGH_PEAK_RANGE)
     if kind == "cough_train":
-        return _cough_train(duration_s, rate_hz, rng, peak_range=cfg.cough_peak_range)
+        return _cough_train(duration_s, rate_hz, rng, peak_range=COUGH_PEAK_RANGE)
     if kind == "env_cough":
-        return _cough_train(duration_s, rate_hz, rng, peak_range=cfg.env_cough_peak_range)
+        return _cough_train(duration_s, rate_hz, rng, peak_range=ENV_COUGH_PEAK_RANGE)
     if kind == "crunch":
         return _crunch(duration_s, rate_hz, rng)
     if kind == "gulp":
@@ -587,7 +593,7 @@ def _build_recording(
     placements = []  # (start sample, label, dual (2, n))
     t = cfg.lead_s
     for label, kind, duration_s in plan:
-        mono = _event_sound(kind, duration_s, cfg, rng, rate_hz)
+        mono = _event_sound(kind, duration_s, rng, rate_hz)
         if kind == "env_cough":
             dual = render_environment(mono, rng, rate_hz=rate_hz, isolation_db=seal_iso_db)
         else:
@@ -601,10 +607,9 @@ def _build_recording(
     if len(bed) < total_n:
         bed = np.pad(bed, (0, total_n - len(bed)))
     audio = render_environment(bed, rng, rate_hz=rate_hz, isolation_db=seal_iso_db)
-    bed_level = cfg.bed_rms.get(environment, 0.004)
     cur = _rms(audio[0])
     if cur > 0:
-        audio *= np.float32(bed_level / cur)
+        audio *= np.float32(BED_RMS[environment] / cur)
 
     if posture == "walking":
         # unannotated footfall bed under the walking-state cough groups; kept

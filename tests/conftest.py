@@ -21,7 +21,7 @@ settings.load_profile("tier1")
 def make_window(rate_hz: int = 8000, seed: int = 0, scale: float = 0.5) -> DualChannelWindow:
     rng = np.random.default_rng(seed)
     data = (scale * rng.standard_normal((2, rate_hz // 2))).astype(np.float32)
-    return DualChannelWindow(data=data, sample_rate_hz=rate_hz, source_id=f"seed{seed}")
+    return DualChannelWindow(data=data, sample_rate_hz=rate_hz)
 
 
 def write_pcm16_wav(path, payload: bytes) -> None:
@@ -41,7 +41,6 @@ def make_recording(duration_s: float, rate_hz: int = 8000, seed: int = 0,
         samples_ff=(scale * rng.standard_normal(n)).astype(np.float32),
         samples_fb=(scale * rng.standard_normal(n)).astype(np.float32),
         sample_rate_hz=rate_hz,
-        source_id=f"rec{seed}",
     )
 
 
@@ -49,7 +48,7 @@ def sine_recording(freq_hz: float, rate_hz: int, duration_s: float = 1.0,
                    amp: float = 0.5) -> DualChannelRecording:
     t = np.arange(round(rate_hz * duration_s)) / rate_hz
     x = (amp * np.sin(2 * np.pi * freq_hz * t)).astype(np.float32)
-    return DualChannelRecording(x, x.copy(), rate_hz, source_id=f"sine{freq_hz}")
+    return DualChannelRecording(x, x.copy(), rate_hz)
 
 
 @pytest.fixture(scope="session")

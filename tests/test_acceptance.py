@@ -198,7 +198,7 @@ def test_extra_detect_counts_injected_coughs(study):
         audio[:, i0:i0 + cough.shape[1]] += cough
         marks.append((at_s, at_s + dur))
     audio += rng.normal(0.0, 2.5e-4, size=audio.shape).astype(np.float32)
-    rec = DualChannelRecording(audio[0], audio[1], rate, source_id="long60")
+    rec = DualChannelRecording(audio[0], audio[1], rate)
     rec8 = decimate(rec, 8000)
     events = stream.detect(study["spec"], study["params"], rec8, threshold=0.5)
     overlap_ok = all(
@@ -221,7 +221,7 @@ def test_criterion_06_batch_stream_equivalence():
         rec = DualChannelRecording(
             (0.4 * rng.standard_normal(n)).astype(np.float32),
             (0.4 * rng.standard_normal(n)).astype(np.float32),
-            8000, source_id=f"case{case}",
+            8000,
         )
         batch = stream.detect(spec, params, rec)
         state = detector.new_state()

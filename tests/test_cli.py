@@ -167,10 +167,14 @@ def test_train_zero_epochs_is_usage_error_and_writes_nothing(small_dataset, tmp_
     ("ablate", "--batch-size", "-3"),
     ("eval", "--threshold", "inf"),
     ("detect", "--threshold", "nan"),
+    ("synth", "--seed", "-1"),
+    ("train", "--seed", "-1"),
+    ("ablate", "--seed", "-2"),
 ])
 def test_out_of_domain_flag_is_usage_error(tmp_path, capsys, command, flag, value):
     """Rejected by argparse before any input is read: the named files do not exist."""
     inputs = {
+        "synth": ["--out", "ds"],
         "train": ["--manifest", "m.json", "--out", "m.ecn1"],
         "ablate": ["--manifest", "m.json", "--out-dir", "out"],
         "eval": ["--manifest", "m.json", "--model", "m.ecn1", "--out-dir", "out"],
@@ -265,8 +269,9 @@ def test_bad_config_is_usage_error(tmp_path, capsys, config_text):
     ("epochs=0\n", "epochs"),
     ("lr=nan\n", "lr"),
     ("lr=-0.1\n", "lr"),
+    ("seed=-1\n", "seed"),
 ], ids=["unknown-choice", "rate-not-a-choice", "misspelt-boolean", "negative-copies",
-        "zero-epochs", "nan-lr", "negative-lr"])
+        "zero-epochs", "nan-lr", "negative-lr", "negative-seed"])
 def test_config_values_get_their_flags_checks(tmp_path, capsys, config_text, named):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(config_text)

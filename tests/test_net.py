@@ -173,14 +173,6 @@ def test_forward_shape_mismatch():
         net.forward(spec, params, np.zeros((2, 65)))
 
 
-def test_forward_arena_matches_plain():
-    for rate, spec in ((128, net.reduced_spec(64)), (8000, net.default_spec(8000))):
-        params = net.init_params(spec, seed=7)
-        x = np.random.default_rng(3).standard_normal(spec.input_shape).astype(np.float32)
-        plain = net.forward(spec, params, x)
-        assert net.forward_arena(spec, params, x) == plain
-
-
 # --- loss / gradient closed forms ---
 
 def test_loss_at_zero_params_is_ln2():
@@ -391,14 +383,18 @@ def test_batched_forward_matches_single():
 
 @pytest.mark.parametrize("spec", [net.reduced_spec(64), net.default_spec(8000)],
                          ids=["reduced", "8k"])
-def test_probabilities_are_batch_invariant(spec):
+def test_probabilities_are_batch_invariant(spec, monkeypatch):
     """A window scores bit-identically alone, in a batch, and at any chunking."""
     params = net.init_params(spec, seed=17)
     for i in range(1, len(params), 2):  # nonzero biases, so every term counts
         params[i] = np.random.default_rng(i).normal(0.0, 0.05, params[i].shape).astype(np.float32)
     xs = np.random.default_rng(8).standard_normal((300,) + spec.input_shape).astype(np.float32)
     batch = net.forward_batch(spec, params, xs[:16])
-    chunked = {b: net.predict_probs(spec, params, xs, batch_size=b) for b in (1, 7, 256)}
+    largest = max(int(np.prod(s)) for s in net.activation_shapes(spec))
+    chunked = {}
+    for b in (1, 7, 256):  # windows per chunk
+        monkeypatch.setattr(net, "CHUNK_BYTES", b * largest * params[0].itemsize)
+        chunked[b] = net.predict_probs(spec, params, xs)
     for i in (0, 1, 6, 7, 15, 255, 256, 299):
         single = np.array(net.forward(spec, params, xs[i]))
         if i < 16:

@@ -1,11 +1,14 @@
 """Labeling, splitting, and training-loop tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from anccough import net, pipeline
 from anccough.dsp import DualChannelWindow
 from anccough.errors import OverlappingUserSets, SingleClassTrainingSet
+from anccough.evalkit import evaluate
 from anccough.pipeline import (
     OVERLAP_THRESHOLD_S,
     LabeledWindow,
@@ -198,6 +201,22 @@ def test_train_restores_best_epoch(tmp_path):
 
     _, best_ckpt = load_model(ckpt / f"epoch{best_epoch:03d}.ecn1")
     assert all(np.array_equal(a, b) for a, b in zip(params, best_ckpt))
+
+
+def test_validation_scores_match_evaluate():
+    """The best epoch's history row scores its parameters exactly as
+    evalkit.evaluate scores them on the same windows."""
+    spec = net.reduced_spec(64)
+    # environmental coughs are negatives in both
+    val_set = [replace(lw, label="env_cough") if i % 4 == 1 else lw
+               for i, lw in enumerate(toy_set(12, seed=7))]
+    cfg = TrainConfig(epochs_max=8, batch_size=8, learning_rate=3e-3,
+                      early_stop_patience=8, seed=3)
+    params, history = train(toy_set(16, seed=6), val_set, spec, cfg)
+    best = max(history, key=lambda r: (r["val_f1_1"], -r["epoch"]))
+    assert best is not history[-1]  # the restored parameters are not the last epoch's
+    report = evaluate(spec, params, val_set)
+    assert (best["val_acc1"], best["val_f1_1"]) == (report.acc1, report.f1_1)
 
 
 def test_train_optimizers_run():
