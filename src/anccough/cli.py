@@ -29,12 +29,7 @@ def _write_run_config(path: Path, command: str, values: dict) -> None:
 
 
 def _split_from_args(args, manifest) -> pipeline.SplitConfig:
-    def parse_users(text):
-        return tuple(int(u) for u in text.split(",")) if text else None
-
-    train_u = parse_users(args.train_users)
-    val_u = parse_users(args.val_users)
-    test_u = parse_users(args.test_users)
+    train_u, val_u, test_u = args.train_users, args.val_users, args.test_users
     if train_u or val_u or test_u:
         if not (train_u and val_u and test_u):
             raise AnccoughError("provide all three of --train-users/--val-users/--test-users")
@@ -75,10 +70,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _user_ids(text: str) -> tuple[int, ...]:
+    """Comma-separated user ids; the empty string (the default) is none."""
+    if not text:
+        return ()
+    try:
+        return tuple(int(u) for u in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid user ids {text!r}: want comma-separated integers") from None
+
+
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-users", default="", help="comma-separated user ids")
-    p.add_argument("--val-users", default="", help="comma-separated user ids")
-    p.add_argument("--test-users", default="", help="comma-separated user ids")
+    p.add_argument("--train-users", type=_user_ids, default="", help="comma-separated user ids")
+    p.add_argument("--val-users", type=_user_ids, default="", help="comma-separated user ids")
+    p.add_argument("--test-users", type=_user_ids, default="", help="comma-separated user ids")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:

@@ -8,16 +8,31 @@ read through a softmax.
 
 All math runs in the dtype of the supplied parameters: float32 in production,
 float64 when tests need finite-difference-grade precision.
+
+`loss_and_grads` splits the batch into `predict_probs`' chunks of
+CHUNK_BYTES and runs the conv blocks on them on the calling thread and, where
+this process may use two CPUs, one helper started and joined within the call.
+No bit depends on the chunking or the thread count: every kernel computes
+each window on its own (one gemm per window per tap), and every sum over the
+batch (the loss, the dense layers, each conv layer's weight and bias
+gradients) runs on the calling thread over the whole batch, in one order.
+Helpers call only private layer functions. Scoring (`forward`,
+`forward_batch`, `predict_probs`) stays on the calling thread: when
+`cli detect` scored on two threads, the batch-1 `StreamingDetector` steps
+that followed it ran about a quarter slower on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dsp import SUPPORTED_RATES, DualChannelWindow
 from .errors import InvalidSpec, ShapeMismatch, UnsupportedRate
+from .threads import thread_count
 
 CLASS_SUBJECT = 0
 CLASS_OTHER = 1
@@ -315,22 +330,21 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
 
 
 def _conv_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, in_len: int,
-                   need_dx: bool = True):
-    """Per-tap transposes of the forward products: dw[:, :, j] sums
-    dout @ xs_j.T over the batch, and w[:, :, j].T @ dout lands on the input
-    positions tap j read. Without `need_dx` the input gradient is None."""
+                   prods: np.ndarray, need_dx: bool = True):
+    """The per-window half of the conv backward: prods[j] gets dout @ xs_j.T for
+    each window (shape (k, n, out, in)), and w[:, :, j].T @ dout lands on the
+    input positions tap j read. Returns the input gradient, or None without
+    `need_dx`. The sums over the batch are `_conv_weight_grads`."""
     t = dout.shape[2]
     k = w.shape[2]
     pad = (k - 1) // 2
     phases = _stride_phases(xp, stride)
-    dw = np.empty_like(w)
     for j in range(k):
         at = j // stride
         xs = phases[j % stride][:, :, at:at + t]
-        dw[:, :, j] = np.matmul(dout, xs.transpose(0, 2, 1)).sum(axis=0)
-    db = dout.sum(axis=(0, 2))
+        np.matmul(dout, xs.transpose(0, 2, 1), out=prods[j])
     if not need_dx:
-        return None, dw, db
+        return None
     dphases = [np.zeros_like(ph) for ph in phases]
     w_taps_t = np.ascontiguousarray(w.transpose(2, 1, 0))  # (k, in, out)
     for j in range(k):
@@ -339,7 +353,18 @@ def _conv_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int,
     dxp = np.empty_like(xp)
     for r, dph in enumerate(dphases):
         dxp[:, :, r::stride] = dph
-    return dxp[:, :, pad:pad + in_len], dw, db
+    return dxp[:, :, pad:pad + in_len]
+
+
+def _conv_weight_grads(dout: np.ndarray, prods: np.ndarray):
+    """(dw, db) from a whole batch's output gradient and per-window tap
+    products: dw[:, :, j] sums prods[j] over the batch, db sums dout over the
+    batch and time."""
+    k, _, out_ch, in_ch = prods.shape
+    dw = np.empty((out_ch, in_ch, k), dtype=prods.dtype)
+    for j in range(k):
+        dw[:, :, j] = prods[j].sum(axis=0)
+    return dw, dout.sum(axis=(0, 2))
 
 
 def _maxpool_forward(x: np.ndarray, width: int, with_argmax: bool = True):
@@ -415,89 +440,72 @@ def _layer_forward(layer: LayerSpec, h: np.ndarray, weights, is_last: bool,
     return out, ("dense", h, w, mask)
 
 
-def _run_forward(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray,
-                 keep_cache: bool):
-    """Walk the layer graph; optionally record what backward needs."""
+def _run_forward(plan, h: np.ndarray, keep_cache: bool):
+    """Run the layers of `plan` (from `_layer_plan`, or a slice of it) on h;
+    returns the output and, with `keep_cache`, what backward needs."""
     cache: list[tuple] = []
-    h = x
-    for layer, weights, is_last in _layer_plan(spec, params):
+    for layer, weights, is_last in plan:
         h, entry = _layer_forward(layer, h, weights, is_last, keep_cache)
         if keep_cache:
             cache.append(entry)
     return h, cache
 
 
-def _run_backward(cache: list[tuple], dh: np.ndarray) -> list[np.ndarray]:
-    """Parameter gradients, in parameter order; the network input's gradient
-    is never needed, so the first layer skips it."""
-    grads: list[np.ndarray] = []
+def _conv_grad_buffers(cache: list[tuple], n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per conv entry i of a chunk's trunk cache: empty whole-batch buffers for
+    that layer's masked output gradient (n, out, t) and its per-window tap
+    products (k, n, out, in)."""
+    bufs = {}
+    for i, entry in enumerate(cache):
+        if entry[0] == "conv":
+            _, _, w, _, _, mask = entry
+            out_ch, in_ch, k = w.shape
+            bufs[i] = (np.empty((n, out_ch, mask.shape[2]), dtype=w.dtype),
+                       np.empty((k, n, out_ch, in_ch), dtype=w.dtype))
+    return bufs
+
+
+def _trunk_backward(cache: list[tuple], dfeatures: np.ndarray, rows: slice,
+                    bufs: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
+    """Backward through the conv blocks for the windows `rows` of the batch,
+    whose forward pass left `cache`, from the whole batch's gradient of the
+    pooled features. Each conv layer writes its masked output gradient and tap
+    products into rows `rows` of its buffers in `bufs`; the network input's
+    gradient is never needed, so the first layer skips it."""
+    dh = dfeatures[rows]
     for i in range(len(cache) - 1, -1, -1):
         entry = cache[i]
         kind = entry[0]
         if kind == "conv":
             _, xp, w, stride, in_len, mask = entry
-            dh *= mask
-            dh, dw, db = _conv_backward(dh, xp, w, stride, in_len, need_dx=i > 0)
-            grads += [db, dw]
+            douts, prods = bufs[i]
+            dout = douts[rows]
+            np.multiply(dh, mask, out=dout)
+            dh = _conv_backward(dout, xp, w, stride, in_len, prods[:, rows], need_dx=i > 0)
         elif kind == "pool":
             _, argmax, width, in_len = entry
             dh = _maxpool_backward(dh, argmax, width, in_len)
-        elif kind == "gap":
+        else:  # "gap"
             _, in_len = entry
             dh = np.repeat(dh[:, :, None] / in_len, in_len, axis=2)
-        elif kind == "dense":
-            _, h_in, w, mask = entry
-            if mask is not None:
-                dh *= mask
-            dw = dh.T @ h_in
-            db = dh.sum(axis=0)
-            dh = dh @ w
-            grads += [db, dw]
+
+
+def _head_backward(cache: list[tuple], dh: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The dense layers' gradients, in parameter order, and the gradient of
+    the head's input."""
+    grads: list[np.ndarray] = []
+    for _, h_in, w, mask in reversed(cache):
+        if mask is not None:
+            dh *= mask
+        grads += [dh.sum(axis=0), dh.T @ h_in]
+        dh = dh @ w
     grads.reverse()
-    return grads
+    return grads, dh
 
 
-def forward(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, float]:
-    """Probabilities (p_subject_cough, p_other) for one normalized window."""
-    data = window.data if isinstance(window, DualChannelWindow) else np.asarray(window)
-    if tuple(data.shape) != spec.input_shape:
-        raise ShapeMismatch(f"input shape {data.shape} != {spec.input_shape}")
-    logits, _ = _run_forward(spec, params, data.astype(params[0].dtype)[None], keep_cache=False)
-    probs = _softmax(logits)[0]
-    return float(probs[CLASS_SUBJECT]), float(probs[CLASS_OTHER])
-
-
-def forward_batch(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Probabilities (n, 2) for a batch of inputs shaped (n, 2, L)."""
-    if tuple(x.shape[1:]) != spec.input_shape:
-        raise ShapeMismatch(f"batch shape {x.shape[1:]} != {spec.input_shape}")
-    logits, _ = _run_forward(spec, params, x.astype(params[0].dtype), keep_cache=False)
-    return _softmax(logits)
-
-
-def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Chunked forward_batch, keeping intermediate activations bounded.
-
-    A chunk holds as many windows as fit CHUNK_BYTES of the largest layer
-    activation, so each layer's working set stays cache-sized. Scores do not
-    depend on the chunking.
-    """
-    largest = max(int(np.prod(s)) for s in activation_shapes(spec))
-    batch_size = max(1, CHUNK_BYTES // (largest * params[0].dtype.itemsize))
-    outs = [forward_batch(spec, params, x[i:i + batch_size])
-            for i in range(0, len(x), batch_size)]
-    return np.concatenate(outs, axis=0)
-
-
-def loss_and_grads(
-    spec: ModelSpec,
-    params: list[np.ndarray],
-    x: np.ndarray,
-    labels: np.ndarray,
-    sample_weight: np.ndarray | None = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Weighted-mean cross-entropy loss and gradients for a minibatch."""
-    logits, cache = _run_forward(spec, params, x.astype(params[0].dtype), keep_cache=True)
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, sample_weight: np.ndarray | None):
+    """Weighted-mean cross-entropy of the softmax of `logits`, and its gradient
+    with respect to the logits."""
     probs = _softmax(logits)
     n = len(labels)
     if sample_weight is None:
@@ -510,6 +518,91 @@ def loss_and_grads(
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits *= weights[:, None]
-    grads = _run_backward(cache, dlogits.astype(probs.dtype))
-    return loss, grads
+    return loss, dlogits
 
+
+@contextmanager
+def _chunk_mapper():
+    """A map over chunks on the calling thread plus T - 1 helpers, T =
+    `thread_count()`: the caller runs chunks 0, T, 2T, ..., the helpers the
+    ones between, and results come back in chunk order. The pool starts a
+    thread only on submit, so at T = 1 it starts none, and it is joined on
+    exit, so none outlives the call."""
+    threads = thread_count()
+    with ThreadPoolExecutor(max(threads - 1, 1)) as helpers:
+        def map_chunks(fn, chunks) -> list:
+            theirs = {i: helpers.submit(fn, c) for i, c in enumerate(chunks) if i % threads}
+            return [theirs[i].result() if i in theirs else fn(c) for i, c in enumerate(chunks)]
+        yield map_chunks
+
+
+def _chunk_size(spec: ModelSpec, dtype: np.dtype) -> int:
+    """Windows per chunk: as many as fit CHUNK_BYTES of the largest activation."""
+    largest = max(int(np.prod(s)) for s in activation_shapes(spec))
+    return max(1, CHUNK_BYTES // (largest * dtype.itemsize))
+
+
+def forward(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, float]:
+    """Probabilities (p_subject_cough, p_other) for one normalized window."""
+    data = window.data if isinstance(window, DualChannelWindow) else np.asarray(window)
+    if tuple(data.shape) != spec.input_shape:
+        raise ShapeMismatch(f"input shape {data.shape} != {spec.input_shape}")
+    logits, _ = _run_forward(_layer_plan(spec, params), data.astype(params[0].dtype)[None],
+                             keep_cache=False)
+    probs = _softmax(logits)[0]
+    return float(probs[CLASS_SUBJECT]), float(probs[CLASS_OTHER])
+
+
+def forward_batch(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Probabilities (n, 2) for a batch of inputs shaped (n, 2, L)."""
+    if tuple(x.shape[1:]) != spec.input_shape:
+        raise ShapeMismatch(f"batch shape {x.shape[1:]} != {spec.input_shape}")
+    logits, _ = _run_forward(_layer_plan(spec, params), x.astype(params[0].dtype),
+                             keep_cache=False)
+    return _softmax(logits)
+
+
+def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Chunked forward_batch, keeping intermediate activations bounded.
+
+    A chunk holds as many windows as fit CHUNK_BYTES of the largest layer
+    activation, so each layer's working set stays cache-sized. Scores do not
+    depend on the chunking.
+    """
+    step = _chunk_size(spec, params[0].dtype)
+    outs = [forward_batch(spec, params, x[i:i + step]) for i in range(0, len(x), step)]
+    return np.concatenate(outs, axis=0)
+
+
+def loss_and_grads(
+    spec: ModelSpec,
+    params: list[np.ndarray],
+    x: np.ndarray,
+    labels: np.ndarray,
+    sample_weight: np.ndarray | None = None,
+) -> tuple[float, list[np.ndarray]]:
+    """Weighted-mean cross-entropy loss and gradients for a minibatch.
+
+    The conv blocks run forward and backward in `predict_probs`' chunks, on up
+    to two threads; the dense head, the loss and every sum over the batch run
+    on the calling thread over the whole batch.
+    """
+    x = x.astype(params[0].dtype)
+    plan = list(_layer_plan(spec, params))
+    head_at = next(i for i, (layer, _, _) in enumerate(plan) if isinstance(layer, Dense))
+    step = _chunk_size(spec, x.dtype)
+    rows = [slice(i, i + step) for i in range(0, len(x), step)]
+    with _chunk_mapper() as map_chunks:
+        trunk = map_chunks(lambda r: _run_forward(plan[:head_at], x[r], keep_cache=True), rows)
+        caches = [cache for _, cache in trunk]
+        features = np.concatenate([h for h, _ in trunk], axis=0)
+        logits, head_cache = _run_forward(plan[head_at:], features, keep_cache=True)
+        loss, dlogits = _cross_entropy(logits, labels, sample_weight)
+        head_grads, dfeatures = _head_backward(head_cache, dlogits)
+        bufs = _conv_grad_buffers(caches[0], len(x))
+        map_chunks(lambda i: _trunk_backward(caches[i], dfeatures, rows[i], bufs),
+                   range(len(rows)))
+    grads: list[np.ndarray] = []
+    for douts, prods in bufs.values():
+        grads += _conv_weight_grads(douts, prods)
+    return loss, grads + head_grads

@@ -14,7 +14,6 @@ configurable.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +26,7 @@ from scipy.signal import butter, freqz, lfilter
 from . import wavio
 from .dsp import DualChannelWindow
 from .errors import IoFailure, MalformedDatasetFile
+from .threads import thread_count as _render_thread_count
 
 GENERATOR_RATE_HZ = 48000
 
@@ -715,23 +715,6 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     return DatasetManifest(entries=tuple(entries), seed=seed, format_version=version)
 
 
-# Recordings render on at most this many threads, the calling one included.
-# Each thread that allocates gets its own glibc malloc arena, which keeps the
-# memory it frees: with the caller idle and two helpers, a two-user dataset
-# raised peak RSS by 15%; the caller plus one helper cost 7.2% on ingest.
-# Raise the cap only after measuring RSS on a box with more CPUs.
-_RENDER_THREADS_MAX = 2
-
-
-def _render_thread_count() -> int:
-    """Threads generate_dataset renders on: the CPUs this process may run on, capped."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _RENDER_THREADS_MAX)
-
-
 def generate_dataset(
     out_dir: str | Path,
     n_users: int = 10,
@@ -745,14 +728,13 @@ def generate_dataset(
     are derived from (seed, user, environment, group), so output is
     byte-identical for a given seed regardless of generation order.
 
-    Recordings render on T = min(CPUs this process may run on, 2) threads: the
+    Recordings render on T = threads.thread_count() threads (at most 2): the
     calling thread renders every T-th recording, and T - 1 helper threads,
     started and joined within this call, render the ones between. Only the
     calling thread writes (WAVs, annotations, then the manifest, in the serial
     order), so every byte is the same for any T, and each thread holds at most
     one rendered recording that is not yet written. With one CPU no thread is
-    started. The cap is 2 because each rendering thread's malloc arena keeps
-    the memory it frees, which shows in peak RSS.
+    started.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")

@@ -170,6 +170,9 @@ def test_train_zero_epochs_is_usage_error_and_writes_nothing(small_dataset, tmp_
     ("synth", "--seed", "-1"),
     ("train", "--seed", "-1"),
     ("ablate", "--seed", "-2"),
+    ("train", "--train-users", "0,x"),
+    ("eval", "--test-users", "2,"),
+    ("ablate", "--val-users", "1;2"),
 ])
 def test_out_of_domain_flag_is_usage_error(tmp_path, capsys, command, flag, value):
     """Rejected by argparse before any input is read: the named files do not exist."""
@@ -185,6 +188,15 @@ def test_out_of_domain_flag_is_usage_error(tmp_path, capsys, command, flag, valu
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "error:" in err and flag in err and "Traceback" not in err
+
+
+def test_user_absent_from_the_manifest_is_exit_one(small_dataset, tmp_path, capsys):
+    root, _ = small_dataset
+    code = main(["train", "--manifest", str(root / "manifest.json"),
+                 "--out", str(tmp_path / "m.ecn1"),
+                 "--train-users", "0", "--val-users", "1", "--test-users", "9"])
+    assert code == 1
+    assert "absent from the manifest: [9]" in capsys.readouterr().err
 
 
 def test_train_eval_round_trip(small_dataset, tmp_path, capsys):
@@ -270,8 +282,9 @@ def test_bad_config_is_usage_error(tmp_path, capsys, config_text):
     ("lr=nan\n", "lr"),
     ("lr=-0.1\n", "lr"),
     ("seed=-1\n", "seed"),
+    ("train_users=0,x\n", "train_users"),
 ], ids=["unknown-choice", "rate-not-a-choice", "misspelt-boolean", "negative-copies",
-        "zero-epochs", "nan-lr", "negative-lr", "negative-seed"])
+        "zero-epochs", "nan-lr", "negative-lr", "negative-seed", "non-integer-user"])
 def test_config_values_get_their_flags_checks(tmp_path, capsys, config_text, named):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(config_text)

@@ -7,6 +7,8 @@ All gradient checks run the engine in float64.
 """
 
 import hashlib
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from anccough.net import (
     ModelSpec,
     _conv_backward,
     _conv_forward,
+    _conv_weight_grads,
     _layer_forward,
     _layer_plan,
     _maxpool_backward,
@@ -32,6 +35,13 @@ from anccough.net import (
 EPS_LADDER = (1e-3, 1e-5, 1e-6)
 
 
+def _conv_grads(dout, xp, w, stride, in_len, need_dx=True):
+    """(dx, dw, db) of one conv layer over a whole batch, on one thread."""
+    prods = np.empty((w.shape[2], len(dout)) + w.shape[:2], dtype=w.dtype)
+    dx = _conv_backward(dout, xp, w, stride, in_len, prods, need_dx)
+    return (dx, *_conv_weight_grads(dout, prods))
+
+
 def _rand_params(spec, seed):
     rng = np.random.default_rng(seed)
     params = net.init_params(spec, seed=seed, dtype=np.float64)
@@ -41,7 +51,7 @@ def _rand_params(spec, seed):
 
 
 def _activation_signature(spec, params, x):
-    _, cache = _run_forward(spec, params, x[None], keep_cache=True)
+    _, cache = _run_forward(_layer_plan(spec, params), x[None], keep_cache=True)
     parts = []
     for entry in cache:
         if entry[0] == "conv":
@@ -236,7 +246,7 @@ def test_conv_layer_gradients(stride, in_ch, k, length):
         return float((o * dout).sum())
 
     _, xp = _conv_forward(x, w, b, stride)
-    dx, dw, db = _conv_backward(dout, xp, w, stride, x.shape[2])
+    dx, dw, db = _conv_grads(dout, xp, w, stride, x.shape[2])
     assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
     assert _fd_on(x, loss, dx) < 1e-4
     assert _fd_on(w, loss, dw) < 1e-4
@@ -455,8 +465,8 @@ def test_conv_backward_without_dx_gives_the_same_weight_gradients():
     w = rng.standard_normal((4, 2, 9))
     out, xp = _conv_forward(x, w, np.zeros(4), 2)
     dout = rng.standard_normal(out.shape)
-    dx, dw, db = _conv_backward(dout, xp, w, 2, 40)
-    none, dw2, db2 = _conv_backward(dout, xp, w, 2, 40, need_dx=False)
+    dx, dw, db = _conv_grads(dout, xp, w, 2, 40)
+    none, dw2, db2 = _conv_grads(dout, xp, w, 2, 40, need_dx=False)
     assert dx.shape == x.shape and none is None
     assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
 
@@ -483,3 +493,96 @@ def test_predict_probs_default_chunks_are_byte_sized(monkeypatch):
         assert sum(chunks) == 20 and max(chunks) == want
     assert max(sizes[8000, "float32"]) == 2 * max(sizes[8000, "float64"])
     assert max(sizes[48000, "float64"]) == 1
+
+
+# --- chunks on two threads ---
+
+def _windows_per_chunk(monkeypatch, spec, dtype, windows):
+    largest = max(int(np.prod(s)) for s in net.activation_shapes(spec))
+    monkeypatch.setattr(net, "CHUNK_BYTES", windows * largest * np.dtype(dtype).itemsize)
+
+
+def _grads_bytes(spec, params, x, labels, sample_weight):
+    loss, grads = net.loss_and_grads(spec, params, x, labels, sample_weight)
+    return [np.float64(loss).tobytes()] + [g.dtype.str.encode() + g.tobytes() for g in grads]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n", [1, 13, 32])
+def test_loss_and_grads_do_not_depend_on_threads_or_chunking(monkeypatch, n, dtype):
+    spec = net.reduced_spec(64)
+    params, rng = _rand_params(spec, 41)
+    params = [p.astype(dtype) for p in params]
+    x = rng.standard_normal((n,) + spec.input_shape).astype(dtype)
+    labels = rng.integers(0, 2, n)
+    for sample_weight in (None, rng.uniform(0.5, 2.0, n)):
+        monkeypatch.setattr(net, "thread_count", lambda: 1)
+        _windows_per_chunk(monkeypatch, spec, dtype, n)
+        want = _grads_bytes(spec, params, x, labels, sample_weight)
+        for threads in (1, 2):
+            monkeypatch.setattr(net, "thread_count", lambda: threads)
+            for windows in (1, 3, n + 1):
+                _windows_per_chunk(monkeypatch, spec, dtype, windows)
+                before = threading.active_count()
+                assert _grads_bytes(spec, params, x, labels, sample_weight) == want
+                assert threading.active_count() == before
+
+
+def test_loss_and_grads_at_8k_do_not_depend_on_threads(monkeypatch):
+    """The default chunking (8 windows at 8 kHz in float32) on both threads
+    against one chunk on the calling thread."""
+    spec = net.default_spec(8000)
+    params = net.init_params(spec, seed=43)
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((20,) + spec.input_shape).astype(np.float32)
+    labels = rng.integers(0, 2, 20)
+    monkeypatch.setattr(net, "thread_count", lambda: 2)
+    split = _grads_bytes(spec, params, x, labels, None)
+    monkeypatch.setattr(net, "thread_count", lambda: 1)
+    _windows_per_chunk(monkeypatch, spec, np.float32, 20)
+    assert _grads_bytes(spec, params, x, labels, None) == split
+
+
+@pytest.mark.parametrize("cpus,started", [({0}, 0), ({0, 1}, 1), ({0, 1, 2, 3}, 1)])
+def test_threads_started_per_call(monkeypatch, cpus, started):
+    """One helper at most per training step, none at one CPU, and none for scoring."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    starts = []
+    start = threading.Thread.start
+
+    def spy_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    spec = net.reduced_spec(64)
+    params = net.init_params(spec, seed=61)
+    _windows_per_chunk(monkeypatch, spec, np.float32, 2)
+    x = np.zeros((9,) + spec.input_shape, np.float32)
+    net.predict_probs(spec, params, x)
+    assert not starts
+    net.loss_and_grads(spec, params, x, np.zeros(9, int))
+    assert len(starts) == started
+    assert not any(t.is_alive() for t in starts)
+
+
+def test_a_failed_helper_chunk_propagates_and_leaves_no_thread(monkeypatch):
+    spec = net.reduced_spec(64)
+    params = net.init_params(spec, seed=67)
+    boom = RuntimeError("chunk failed")
+    trunk_backward = net._trunk_backward
+
+    def flaky(cache, dfeatures, rows, bufs):
+        if rows.start == 2:  # only the second chunk, a helper's
+            raise boom
+        trunk_backward(cache, dfeatures, rows, bufs)
+
+    monkeypatch.setattr(net, "thread_count", lambda: 2)
+    monkeypatch.setattr(net, "_trunk_backward", flaky)
+    _windows_per_chunk(monkeypatch, spec, np.float32, 2)
+    x = np.zeros((6,) + spec.input_shape, np.float32)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        net.loss_and_grads(spec, params, x, np.zeros(6, int))
+    assert exc.value is boom
+    assert threading.active_count() == before

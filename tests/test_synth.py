@@ -1,6 +1,7 @@
 """Generator tests: cough synthesis, channel rendering, dataset invariants."""
 
 import hashlib
+import os
 import threading
 
 import numpy as np
@@ -24,6 +25,7 @@ from anccough.synth import (
     write_annotations,
     write_manifest,
 )
+from anccough.threads import THREADS_MAX
 
 
 def band_noise_48k(n, lo, hi, seed=0, tilted=False):
@@ -351,11 +353,11 @@ def test_dataset_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, 
 
 
 def test_render_thread_count_is_capped():
-    assert 1 <= synth._render_thread_count() <= synth._RENDER_THREADS_MAX
+    assert 1 <= synth._render_thread_count() <= THREADS_MAX
 
 
 def test_one_cpu_starts_no_thread(tmp_path, monkeypatch):
-    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert synth._render_thread_count() == 1
     before = threading.active_count()
     seen = []
