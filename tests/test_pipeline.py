@@ -1,5 +1,7 @@
 """Labeling, splitting, and training-loop tests."""
 
+import hashlib
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +121,35 @@ def test_split_by_user_unknown_user(small_dataset):
     root, manifest = small_dataset
     with pytest.raises(ValueError):
         split_by_user(manifest, SplitConfig((0,), (1,), (5,)), root, 8000)
+
+
+# SHA-256 of split_by_user over the small dataset, by target rate (see
+# `splits_digest`).
+LABELED_WINDOWS_DIGESTS = {
+    8000: "d0ad5143322839701a5c2326e2e8542316794a8507b6e69fb20d2471f6ec213e",
+    16000: "7e82f63e36fc1fe0cd6e340646172b1e91b3779480ce405dca3b15626ac64850",
+    48000: "7a0f14ef2832d2d33c9beffba2235c9c7e2f89c8062fa6c350138c5f0f7de290",
+}
+
+
+def splits_digest(splits) -> str:
+    """SHA-256 over every window of the splits, in order: its data bytes,
+    start_s, rate, label and user id."""
+    h = hashlib.sha256()
+    for split in splits:
+        for lw in split:
+            h.update(lw.window.data.tobytes())
+            h.update(struct.pack("<dq", lw.window.start_s, lw.window.sample_rate_hz))
+            h.update(lw.label.encode() + b"\0")
+            h.update(struct.pack("<q", lw.user_id))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("rate", sorted(LABELED_WINDOWS_DIGESTS))
+def test_labeled_windows_digest(small_dataset, rate):
+    root, manifest = small_dataset
+    splits = split_by_user(manifest, default_split(manifest.user_ids()), root, rate)
+    assert splits_digest(splits) == LABELED_WINDOWS_DIGESTS[rate]
 
 
 def test_split_locality(small_dataset):
