@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import evalkit, net, pipeline, stream, synth
@@ -127,7 +128,10 @@ def cmd_train(args) -> int:
     manifest = synth.read_manifest(args.manifest)
     data_dir = Path(args.manifest).parent
     split = _split_from_args(args, manifest)
-    train_set, val_set, _ = pipeline.split_by_user(manifest, split, data_dir, args.rate)
+    pipeline.check_split_users(manifest, split)
+    # the test users are named for the run record only: none of their audio loads
+    train_set, val_set, _ = pipeline.split_by_user(
+        manifest, replace(split, test_users=()), data_dir, args.rate)
 
     spec = net.default_spec(args.rate)
     plan = None
@@ -168,8 +172,10 @@ def cmd_eval(args) -> int:
     manifest = synth.read_manifest(args.manifest)
     data_dir = Path(args.manifest).parent
     split = _split_from_args(args, manifest)
+    pipeline.check_split_users(manifest, split)
     spec, params = load_model(args.model)
-    _, _, test_set = pipeline.split_by_user(manifest, split, data_dir, spec.sample_rate_hz)
+    test_set = pipeline.load_labeled_windows(manifest, data_dir, spec.sample_rate_hz,
+                                             users=set(split.test_users))
 
     report = evalkit.evaluate(spec, params, test_set, threshold=args.threshold)
     out_dir = Path(args.out_dir)

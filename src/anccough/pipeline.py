@@ -25,6 +25,7 @@ from .synth import (
     DatasetManifest,
     read_annotations,
 )
+from .threads import ordered_map, thread_count
 
 WINDOW_LABELS = ("subject_cough", "env_cough", "other")
 
@@ -57,6 +58,11 @@ class SplitConfig:
         union = set().union(*groups)
         if len(union) != total:
             raise OverlappingUserSets("a user id appears in more than one split")
+
+    @property
+    def users(self) -> set[int]:
+        """Every user id the split names."""
+        return set(self.train_users) | set(self.val_users) | set(self.test_users)
 
 
 def default_split(user_ids: list[int]) -> SplitConfig:
@@ -110,18 +116,36 @@ def load_labeled_windows(
     target_rate_hz: int,
     users: set[int] | None = None,
 ) -> list[LabeledWindow]:
-    """Load, decimate, window and label every manifest entry (optionally filtered)."""
+    """Load, decimate, window and label every manifest entry (optionally filtered).
+
+    Recordings go through `threads.ordered_map` on T = threads.thread_count()
+    threads (at most 2): the calling thread loads, decimates and labels every
+    T-th recording, T - 1 helper threads the ones between, and the windows
+    come back in manifest order, so the list is the same for any T. With one
+    CPU no thread is started.
+    """
     data_dir = Path(data_dir)
-    out = []
-    for entry in manifest.entries:
-        if users is not None and entry.user_id not in users:
-            continue
+    entries = [e for e in manifest.entries if users is None or e.user_id in users]
+
+    def load(entry) -> list[LabeledWindow]:
         rec = load_recording(data_dir / entry.wav_path)
         if rec.sample_rate_hz != target_rate_hz:
             rec = decimate(rec, target_rate_hz)
         annotations = read_annotations(data_dir / entry.annotation_path)
-        out.extend(label_windows(rec, annotations, user_id=entry.user_id))
+        return label_windows(rec, annotations, user_id=entry.user_id)
+
+    out = []
+    with ordered_map(load, entries, thread_count()) as labeled:
+        for windows in labeled:
+            out.extend(windows)
     return out
+
+
+def check_split_users(manifest: DatasetManifest, config: SplitConfig) -> None:
+    """Raise ValueError if the split names a user the manifest does not hold."""
+    missing = config.users - set(manifest.user_ids())
+    if missing:
+        raise ValueError(f"split names users absent from the manifest: {sorted(missing)}")
 
 
 def split_by_user(
@@ -131,12 +155,8 @@ def split_by_user(
     target_rate_hz: int,
 ) -> tuple[list[LabeledWindow], list[LabeledWindow], list[LabeledWindow]]:
     """Window the dataset and route every window to the split owning its user."""
-    known = set(manifest.user_ids())
-    wanted = set(config.train_users) | set(config.val_users) | set(config.test_users)
-    missing = wanted - known
-    if missing:
-        raise ValueError(f"split names users absent from the manifest: {sorted(missing)}")
-    windows = load_labeled_windows(manifest, data_dir, target_rate_hz, users=wanted)
+    check_split_users(manifest, config)
+    windows = load_labeled_windows(manifest, data_dir, target_rate_hz, users=config.users)
     train = [w for w in windows if w.user_id in set(config.train_users)]
     val = [w for w in windows if w.user_id in set(config.val_users)]
     test = [w for w in windows if w.user_id in set(config.test_users)]

@@ -14,7 +14,6 @@ configurable.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -26,7 +25,7 @@ from scipy.signal import butter, freqz, lfilter
 from . import wavio
 from .dsp import DualChannelWindow
 from .errors import IoFailure, MalformedDatasetFile
-from .threads import thread_count as _render_thread_count
+from .threads import ordered_map, thread_count as _render_thread_count
 
 GENERATOR_RATE_HZ = 48000
 
@@ -728,13 +727,13 @@ def generate_dataset(
     are derived from (seed, user, environment, group), so output is
     byte-identical for a given seed regardless of generation order.
 
-    Recordings render on T = threads.thread_count() threads (at most 2): the
-    calling thread renders every T-th recording, and T - 1 helper threads,
-    started and joined within this call, render the ones between. Only the
-    calling thread writes (WAVs, annotations, then the manifest, in the serial
-    order), so every byte is the same for any T, and each thread holds at most
-    one rendered recording that is not yet written. With one CPU no thread is
-    started.
+    Recordings render through `threads.ordered_map` on T =
+    threads.thread_count() threads (at most 2): the calling thread renders
+    every T-th recording, and T - 1 helper threads, started and joined within
+    this call, render the ones between. Only the calling thread writes (WAVs,
+    annotations, then the manifest, in the serial order), so every byte is the
+    same for any T, and each thread holds at most one rendered recording that
+    is not yet written. With one CPU no thread is started.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
@@ -778,16 +777,10 @@ def generate_dataset(
             )
         )
 
-    threads = _render_thread_count()
     try:
-        # The pool starts a thread only on submit, so at T = 1 it starts none.
-        with ThreadPoolExecutor(max(threads - 1, 1)) as helpers:
-            for at in range(0, len(jobs), threads):
-                own, *others = jobs[at:at + threads]
-                rendering = [helpers.submit(render, job) for job in others]
-                write(own, render(own))
-                for job, future in zip(others, rendering):
-                    write(job, future.result())
+        with ordered_map(render, jobs, _render_thread_count()) as rendered:
+            for job, recording in zip(jobs, rendered):
+                write(job, recording)
         manifest = DatasetManifest(entries=tuple(entries), seed=seed)
         write_manifest(manifest, out_dir / MANIFEST_FILENAME)
     except OSError as exc:

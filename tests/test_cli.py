@@ -199,6 +199,37 @@ def test_user_absent_from_the_manifest_is_exit_one(small_dataset, tmp_path, caps
     assert "absent from the manifest: [9]" in capsys.readouterr().err
 
 
+def test_eval_loads_only_the_test_users(small_dataset, tmp_path, monkeypatch):
+    from anccough import pipeline
+
+    root, manifest = small_dataset
+    loaded = []
+    load_recording = pipeline.load_recording
+
+    def spy_load(path):
+        loaded.append(path)
+        return load_recording(path)
+
+    monkeypatch.setattr(pipeline, "load_recording", spy_load)
+    code = main(["eval", "--manifest", str(root / "manifest.json"),
+                 "--model", str(_detect_model(tmp_path)), "--out-dir", str(tmp_path / "out"),
+                 "--train-users", "0", "--val-users", "1", "--test-users", "2"])
+    assert code == 0
+    assert sorted(loaded) == sorted(root / e.wav_path for e in manifest.entries if e.user_id == 2)
+
+
+@pytest.mark.parametrize("flags", [("9", "1", "2"), ("0", "9", "2"), ("0", "1", "9")])
+def test_eval_with_a_user_absent_from_the_manifest_is_exit_one(small_dataset, tmp_path,
+                                                               capsys, flags):
+    root, _ = small_dataset
+    train, val, test = flags
+    code = main(["eval", "--manifest", str(root / "manifest.json"),
+                 "--model", str(_detect_model(tmp_path)), "--out-dir", str(tmp_path / "out"),
+                 "--train-users", train, "--val-users", val, "--test-users", test])
+    assert code == 1
+    assert "absent from the manifest: [9]" in capsys.readouterr().err
+
+
 def test_train_eval_round_trip(small_dataset, tmp_path, capsys):
     root, _ = small_dataset
     model_path = tmp_path / "model.ecn1"

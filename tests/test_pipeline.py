@@ -1,15 +1,18 @@
 """Labeling, splitting, and training-loop tests."""
 
 import hashlib
+import os
+import re
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from anccough import net, pipeline
+from anccough import net, pipeline, wavio
 from anccough.dsp import DualChannelWindow
-from anccough.errors import OverlappingUserSets, SingleClassTrainingSet
+from anccough.errors import MalformedHeader, OverlappingUserSets, SingleClassTrainingSet
 from anccough.evalkit import evaluate
 from anccough.pipeline import (
     OVERLAP_THRESHOLD_S,
@@ -21,7 +24,7 @@ from anccough.pipeline import (
     split_by_user,
     train,
 )
-from anccough.synth import AnnotatedSegment
+from anccough.synth import AnnotatedSegment, DatasetManifest, ManifestEntry
 from conftest import make_recording
 
 
@@ -150,6 +153,58 @@ def test_labeled_windows_digest(small_dataset, rate):
     root, manifest = small_dataset
     splits = split_by_user(manifest, default_split(manifest.user_ids()), root, rate)
     assert splits_digest(splits) == LABELED_WINDOWS_DIGESTS[rate]
+
+
+# --- loading on threads ---
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_labeled_windows_do_not_depend_on_the_thread_count(small_dataset, monkeypatch, threads):
+    root, manifest = small_dataset
+    monkeypatch.setattr(pipeline, "thread_count", lambda: threads)
+    before = threading.active_count()
+    splits = split_by_user(manifest, default_split(manifest.user_ids()), root, 8000)
+    assert threading.active_count() == before
+    assert splits_digest(splits) == LABELED_WINDOWS_DIGESTS[8000]
+
+
+@pytest.mark.parametrize("cpus,started", [({0}, 0), ({0, 1}, 1), ({0, 1, 2, 3}, 1)])
+def test_threads_started_per_split(small_dataset, monkeypatch, cpus, started):
+    """One helper at most per load, none at one CPU, none alive after."""
+    root, manifest = small_dataset
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    starts = []
+    start = threading.Thread.start
+
+    def spy_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    split_by_user(manifest, SplitConfig((0,), (), ()), root, 8000)
+    assert len(starts) == started
+    assert not any(t.is_alive() for t in starts)
+
+
+def tiny_dataset(root, n_entries: int) -> DatasetManifest:
+    """Silent one-second 8 kHz recordings, one per user, each with a cough."""
+    entries = []
+    for user in range(n_entries):
+        wavio.write_wav(root / f"u{user}.wav", np.zeros((8000, 2), np.float32), 8000)
+        (root / f"u{user}.tsv").write_text("0.100000\t0.400000\tsingle_cough_sitting\n")
+        entries.append(ManifestEntry(f"u{user}.wav", f"u{user}.tsv", user, "quiet", "sitting"))
+    return DatasetManifest(tuple(entries), seed=0)
+
+
+@pytest.mark.parametrize("truncated", [2, 3])  # T = 2: the caller's, then the helper's
+def test_a_truncated_wav_names_its_file_and_leaves_no_thread(tmp_path, monkeypatch, truncated):
+    manifest = tiny_dataset(tmp_path, 6)
+    bad = tmp_path / f"u{truncated}.wav"
+    bad.write_bytes(bad.read_bytes()[:1000])
+    monkeypatch.setattr(pipeline, "thread_count", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(MalformedHeader, match=f"^{re.escape(str(bad))}: "):
+        pipeline.load_labeled_windows(manifest, tmp_path, 8000)
+    assert threading.active_count() == before
 
 
 def test_split_locality(small_dataset):
