@@ -93,6 +93,13 @@ def load_recording(path: str | Path) -> DualChannelRecording:
     File channel 0 maps to the feed-forward mic, channel 1 to the feedback mic.
     """
     frames, rate = wavio.read_wav(path)
+    return recording_from_frames(frames, rate, path)
+
+
+def recording_from_frames(frames: np.ndarray, rate: int, path: str | Path) -> DualChannelRecording:
+    """`load_recording` after the read: check the (frames, channels) array
+    `wavio.read_wav` returned and split it into the two channels; errors name
+    `path`."""
     if frames.shape[1] != 2:
         raise NotStereo(f"{path}: {frames.shape[1]} channels, need 2")
     if rate not in SUPPORTED_RATES:

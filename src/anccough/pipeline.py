@@ -14,9 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import net
+from . import net, wavio
 from .augment import AugmentPlan, apply_plan
-from .dsp import DualChannelRecording, DualChannelWindow, decimate, load_recording, normalize, slice_windows
+from .dsp import (
+    DualChannelRecording,
+    DualChannelWindow,
+    decimate,
+    load_recording,
+    normalize,
+    recording_from_frames,
+    slice_windows,
+)
 from .errors import NonFiniteLoss, OverlappingUserSets, SingleClassTrainingSet
 from .synth import (
     ENV_COUGH_LABEL,
@@ -94,10 +102,18 @@ def label_windows(
     least OVERLAP_THRESHOLD_S, else env_cough by the same rule against
     environmental-cough segments, else other.
     """
+    return _label(slice_windows(rec), annotations, user_id)
+
+
+def _label(
+    windows: list[DualChannelWindow],
+    annotations: list[AnnotatedSegment],
+    user_id: int,
+) -> list[LabeledWindow]:
     subject_segs = [s for s in annotations if s.label in SUBJECT_COUGH_LABELS]
     env_segs = [s for s in annotations if s.label == ENV_COUGH_LABEL]
     out = []
-    for win in slice_windows(rec):
+    for win in windows:
         start = win.start_s
         end = start + win.n_samples / win.sample_rate_hz
         if any(s.overlap_s(start, end) >= OVERLAP_THRESHOLD_S for s in subject_segs):
@@ -108,6 +124,23 @@ def label_windows(
             label = "other"
         out.append(LabeledWindow(window=win, label=label, user_id=user_id))
     return out
+
+
+# What a helper thread of `load_labeled_windows` reads, decimates and slices
+# with: the functions as bound when this module was imported. The calling
+# thread goes through the module bindings, which the traced benchmark run
+# swaps for span wrappers (see threads.py), so a traced run times the calling
+# thread's recordings alone.
+_read_wav, _decimate, _slice_windows = wavio.read_wav, decimate, slice_windows
+
+
+def _helper_load(path: Path) -> DualChannelRecording:
+    return recording_from_frames(*_read_wav(path), path)
+
+
+def _helper_label(rec: DualChannelRecording, annotations: list[AnnotatedSegment],
+                  user_id: int) -> list[LabeledWindow]:
+    return _label(_slice_windows(rec), annotations, user_id)
 
 
 def load_labeled_windows(
@@ -122,20 +155,29 @@ def load_labeled_windows(
     threads (at most 2): the calling thread loads, decimates and labels every
     T-th recording, T - 1 helper threads the ones between, and the windows
     come back in manifest order, so the list is the same for any T. With one
-    CPU no thread is started.
+    CPU no thread is started. Helpers enter none of this module's bindings
+    (load_recording, decimate, label_windows, slice_windows) nor
+    wavio.read_wav, so a function swapped into one of them sees the calling
+    thread's recordings only.
     """
     data_dir = Path(data_dir)
     entries = [e for e in manifest.entries if users is None or e.user_id in users]
 
-    def load(entry) -> list[LabeledWindow]:
-        rec = load_recording(data_dir / entry.wav_path)
+    def load(entry, read, resample, label) -> list[LabeledWindow]:
+        rec = read(data_dir / entry.wav_path)
         if rec.sample_rate_hz != target_rate_hz:
-            rec = decimate(rec, target_rate_hz)
+            rec = resample(rec, target_rate_hz)
         annotations = read_annotations(data_dir / entry.annotation_path)
-        return label_windows(rec, annotations, user_id=entry.user_id)
+        return label(rec, annotations, entry.user_id)
+
+    def on_caller(entry) -> list[LabeledWindow]:
+        return load(entry, load_recording, decimate, label_windows)
+
+    def on_helper(entry) -> list[LabeledWindow]:
+        return load(entry, _helper_load, _decimate, _helper_label)
 
     out = []
-    with ordered_map(load, entries, thread_count()) as labeled:
+    with ordered_map(on_caller, entries, thread_count(), on_helper) as labeled:
         for windows in labeled:
             out.extend(windows)
     return out

@@ -8,6 +8,11 @@ writes), and `pipeline.load_labeled_windows` loads, decimates and labels them
 through it. `net.loss_and_grads` keeps its own chunk mapper (`net._chunk_mapper`),
 whose pool serves two maps in one call. Every pool is opened and joined
 within the call, so no thread outlives it, and none starts when T is 1.
+
+A helper never calls a public function through a binding a caller may swap
+(a module attribute): the traced benchmark run (perfbench/spans.py) swaps
+those for span wrappers whose recorder keeps one open-span stack per process,
+so a helper entering one closes the caller's spans out of order.
 """
 
 from __future__ import annotations
@@ -34,9 +39,12 @@ def thread_count() -> int:
 
 
 @contextmanager
-def ordered_map(fn: Callable, items: Sequence, threads: int) -> Iterator[Iterator]:
+def ordered_map(fn: Callable, items: Sequence, threads: int,
+                helper_fn: Callable | None = None) -> Iterator[Iterator]:
     """`fn` over `items` on `threads` threads, the calling one included; the
-    with-block gets an iterator of the results in item order.
+    with-block gets an iterator of the results in item order. Helpers run
+    `helper_fn` in place of `fn` when it is given; it must return what `fn`
+    would.
 
     Items go in rounds of `threads`: the calling thread runs the first of each
     round while helpers run the rest, and the round's results are handed on
@@ -50,7 +58,7 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> Iterator[Iterato
         def results() -> Iterator:
             for at in range(0, len(items), threads):
                 own, *others = items[at:at + threads]
-                theirs = [helpers.submit(fn, item) for item in others]
+                theirs = [helpers.submit(helper_fn or fn, item) for item in others]
                 yield fn(own)
                 for future in theirs:
                     yield future.result()

@@ -18,12 +18,14 @@ BENCHMARK = {"end_to_end": [
 
 
 def write_records(root, env, runs):
-    """runs: (workload, seed, {metric: value}); an empty dict is a failed run."""
+    """runs: (workload, seed, {metric: value}[, problems]); an empty dict is an
+    aborted run, a problem a failed check."""
     out = root / "perfbench" / "out"
     out.mkdir(parents=True)
-    for workload, seed, values in runs:
+    for workload, seed, values, *problems in runs:
         record = {"workload": workload, "seed": seed, "trace": 0, "environment": env,
-                  "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}}
+                  "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()},
+                  "problems": problems}
         (out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
     # a traced record is not a pairing candidate
     (out / f"{runs[0][0]}-seed{runs[0][1]}-trace1.json").write_text("not json")
@@ -39,7 +41,8 @@ def summary(tmp_path):
         ("ingest", 4, {"rtf": 130.0, "ms_per_window": 0.5}),
         ("ingest", 9, {"rtf": 1.0, "ms_per_window": 9.0}),  # no change run: unpaired
         ("detect", 1, {"rtf": 300.0, "ms_per_window": 1.0}),
-        ("detect", 2, {}),  # a failed run pairs for nothing
+        ("detect", 2, {}),  # an aborted run pairs for nothing
+        ("detect", 3, {"rtf": 300.0, "ms_per_window": 1.0}),
     ])
     write_records(change, {"git_commit": "bbb"}, [
         ("ingest", 1, {"rtf": 105.0, "ms_per_window": 0.5}),
@@ -48,6 +51,8 @@ def summary(tmp_path):
         ("ingest", 4, {"rtf": 140.0, "ms_per_window": 0.3}),
         ("detect", 1, {"rtf": 290.0, "ms_per_window": 1.2}),
         ("detect", 2, {"rtf": 280.0, "ms_per_window": 1.1}),
+        # a failed check pairs for nothing, though the run wrote its metrics
+        ("detect", 3, {"rtf": 900.0, "ms_per_window": 0.1}, "op 1: windows differ"),
     ])
     bench = tmp_path / "BENCHMARK.json"
     bench.write_text(json.dumps(BENCHMARK))
@@ -76,9 +81,11 @@ def test_pairs_medians_quartiles_and_wins(summary):
 
 def test_a_failed_run_pairs_for_nothing(summary):
     detect = summary["workloads"]["detect"]
-    assert detect["seeds"] == [1, 2]
-    assert detect["metrics"]["rtf"]["pairs"] == 1
-    assert detect["metrics"]["rtf"]["wins"] == 0
+    assert detect["seeds"] == [1, 2, 3]
+    assert detect["failed"] == {"parent": 1, "change": 1}
+    assert summary["workloads"]["ingest"]["failed"] == {"parent": 0, "change": 0}
+    for name in ("rtf", "ms_per_window"):
+        assert (detect["metrics"][name]["pairs"], detect["metrics"][name]["wins"]) == (1, 0)
 
 
 def test_each_side_keeps_its_environment(summary):

@@ -199,7 +199,16 @@ def test_user_absent_from_the_manifest_is_exit_one(small_dataset, tmp_path, caps
     assert "absent from the manifest: [9]" in capsys.readouterr().err
 
 
-def test_eval_loads_only_the_test_users(small_dataset, tmp_path, monkeypatch):
+def _split_command(command, root, tmp_path, train, val, test):
+    out = {"train": ["--out", str(tmp_path / "m.ecn1"), "--epochs", "1", "--copies", "0"],
+           "eval": ["--model", str(_detect_model(tmp_path)), "--out-dir", str(tmp_path / "out")]}
+    return [command, "--manifest", str(root / "manifest.json"), *out[command],
+            "--train-users", train, "--val-users", val, "--test-users", test]
+
+
+@pytest.mark.parametrize("command,used", [("train", {0, 1}), ("eval", {2})])
+def test_a_command_loads_only_the_users_it_uses(small_dataset, tmp_path, monkeypatch,
+                                                command, used):
     from anccough import pipeline
 
     root, manifest = small_dataset
@@ -210,23 +219,20 @@ def test_eval_loads_only_the_test_users(small_dataset, tmp_path, monkeypatch):
         loaded.append(path)
         return load_recording(path)
 
+    # helper threads never enter the module binding, so load on the caller alone
+    monkeypatch.setattr(pipeline, "thread_count", lambda: 1)
     monkeypatch.setattr(pipeline, "load_recording", spy_load)
-    code = main(["eval", "--manifest", str(root / "manifest.json"),
-                 "--model", str(_detect_model(tmp_path)), "--out-dir", str(tmp_path / "out"),
-                 "--train-users", "0", "--val-users", "1", "--test-users", "2"])
-    assert code == 0
-    assert sorted(loaded) == sorted(root / e.wav_path for e in manifest.entries if e.user_id == 2)
+    assert main(_split_command(command, root, tmp_path, "0", "1", "2")) == 0
+    assert sorted(loaded) == sorted(root / e.wav_path for e in manifest.entries
+                                    if e.user_id in used)
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("flags", [("9", "1", "2"), ("0", "9", "2"), ("0", "1", "9")])
-def test_eval_with_a_user_absent_from_the_manifest_is_exit_one(small_dataset, tmp_path,
-                                                               capsys, flags):
+def test_a_split_user_absent_from_the_manifest_is_exit_one(small_dataset, tmp_path, capsys,
+                                                           command, flags):
     root, _ = small_dataset
-    train, val, test = flags
-    code = main(["eval", "--manifest", str(root / "manifest.json"),
-                 "--model", str(_detect_model(tmp_path)), "--out-dir", str(tmp_path / "out"),
-                 "--train-users", train, "--val-users", val, "--test-users", test])
-    assert code == 1
+    assert main(_split_command(command, root, tmp_path, *flags)) == 1
     assert "absent from the manifest: [9]" in capsys.readouterr().err
 
 

@@ -1,11 +1,14 @@
 """Labeling, splitting, and training-loop tests."""
 
 import hashlib
+import importlib.util
 import os
 import re
 import struct
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +168,30 @@ def test_labeled_windows_do_not_depend_on_the_thread_count(small_dataset, monkey
     splits = split_by_user(manifest, default_split(manifest.user_ids()), root, 8000)
     assert threading.active_count() == before
     assert splits_digest(splits) == LABELED_WINDOWS_DIGESTS[8000]
+
+
+def test_a_traced_load_on_two_threads_closes_every_span_in_order(small_dataset, monkeypatch):
+    """The benchmark's span recorder keeps one open-span stack per process, so
+    only the calling thread may enter a binding it wraps."""
+    import anccough
+    import anccough.cli  # noqa: F401  (the recorder wraps cli bindings too)
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    root, manifest = small_dataset
+    monkeypatch.setattr(pipeline, "thread_count", lambda: 2)
+    recorder = spans.Recorder()
+    restore = spans.instrument(recorder, anccough)
+    try:
+        splits = split_by_user(manifest, default_split(manifest.user_ids()), root, 8000)
+    finally:
+        restore()
+    assert splits_digest(splits) == LABELED_WINDOWS_DIGESTS[8000]
+    loads = [s for s in recorder.spans if s.name == "dsp.load_recording"]
+    assert len(loads) == (len(manifest.entries) + 1) // 2  # the calling thread's share
 
 
 @pytest.mark.parametrize("cpus,started", [({0}, 0), ({0, 1}, 1), ({0, 1, 2, 3}, 1)])

@@ -31,6 +31,13 @@ def test_the_caller_runs_the_first_item_of_each_round(threads):
     assert [ran_on[i] == caller for i in range(7)] == [i % threads == 0 for i in range(7)]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_helpers_run_helper_fn_in_place_of_fn(threads):
+    with ordered_map(lambda i: ("fn", i), list(range(7)), threads,
+                     lambda i: ("helper_fn", i)) as results:
+        assert list(results) == [("fn" if i % threads == 0 else "helper_fn", i) for i in range(7)]
+
+
 @pytest.mark.parametrize("failing", [2, 3])  # T = 2: the caller's item, then the helper's
 def test_a_failed_item_raises_at_its_place_and_leaves_no_thread(failing):
     boom = RuntimeError("item failed")

@@ -6,8 +6,9 @@ for every workload and every end-to-end metric in BENCHMARK.json: the parent's
 and the change's median and quartiles, the number of pairs, and how many pairs
 the change won by the metric's `better` direction, and whether the change's
 median is better by more than the parent's interquartile range. Each side's environment
-records (one per distinct environment) go with it. A record whose run failed
-an operation carries no metrics and pairs for nothing.
+records (one per distinct environment) go with it. A failed run, one that
+aborted (no metrics) or failed a check (its `problems` list is not empty),
+pairs for nothing; each workload counts its failed runs per side.
 
     python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --out BENCH_<n>.json
 
@@ -49,6 +50,10 @@ def read_records(root: Path) -> dict[tuple[str, int], dict]:
     return records
 
 
+def failed(record: dict) -> bool:
+    return bool(record["problems"]) or not record["metrics"]
+
+
 def environments(records) -> list[dict]:
     distinct = []
     for record in records:
@@ -61,13 +66,19 @@ def pair_summary(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
     """Per workload and metric: both sides' summaries, pairs and wins."""
     out = {}
     for workload, seed in sorted(set(parent) & set(change)):
-        out.setdefault(workload, {"seeds": [], "metrics": {}})["seeds"].append(seed)
+        doc = out.setdefault(workload, {"seeds": [], "failed": {"parent": 0, "change": 0},
+                                        "metrics": {}})
+        doc["seeds"].append(seed)
+        doc["failed"]["parent"] += failed(parent[workload, seed])
+        doc["failed"]["change"] += failed(change[workload, seed])
     for workload, doc in out.items():
+        ok = [s for s in doc["seeds"]
+              if not failed(parent[workload, s]) and not failed(change[workload, s])]
         for metric in end_to_end:
             name, lower = metric["name"], metric["better"] == "lower"
             pairs = [(parent[workload, s]["metrics"][name]["value"],
                       change[workload, s]["metrics"][name]["value"])
-                     for s in doc["seeds"]
+                     for s in ok
                      if name in parent[workload, s]["metrics"]
                      and name in change[workload, s]["metrics"]]
             if not pairs:
