@@ -22,6 +22,8 @@ from .model_io import load_model, save_model
 
 _RATE_CHOICES = list(SUPPORTED_RATES)
 
+NOISE_POOL_CLIPS = 32  # clips in the built-in background-noise pool
+
 
 def _write_run_config(path: Path, command: str, values: dict) -> None:
     # location-independent reproducibility record: settings only, no paths
@@ -101,8 +103,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_non_negative_int, default=0)
 
 
-def _train_cfg_from_args(args) -> pipeline.TrainConfig:
-    return pipeline.TrainConfig(
+def _training_setup(args, noise_dir: str | None = None):
+    """The TrainConfig, AugmentPlan and noise pool (None and None at --copies
+    0) and run-record settings that `train` and `ablate` build from flags."""
+    cfg = pipeline.TrainConfig(
         epochs_max=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.lr,
@@ -111,6 +115,20 @@ def _train_cfg_from_args(args) -> pipeline.TrainConfig:
         seed=args.seed,
         class_weighting=args.class_weighting,
     )
+    plan = pool = None
+    if args.copies > 0:
+        plan = AugmentPlan(copies_per_clip=args.copies, seed=args.seed)
+        if noise_dir:
+            pool = load_noise_pool(noise_dir, args.rate)
+        else:
+            pool = synth.generate_noise_pool(NOISE_POOL_CLIPS, args.rate, args.seed)
+    record = {
+        "rate": args.rate, "epochs": args.epochs, "batch_size": args.batch_size,
+        "lr": args.lr, "optimizer": args.optimizer, "patience": args.patience,
+        "copies": args.copies, "class_weighting": args.class_weighting,
+        "seed": args.seed,
+    }
+    return cfg, plan, pool, record
 
 
 def cmd_synth(args) -> int:
@@ -124,7 +142,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _train_cfg_from_args(args)
     manifest = synth.read_manifest(args.manifest)
     data_dir = Path(args.manifest).parent
     split = _split_from_args(args, manifest)
@@ -134,15 +151,7 @@ def cmd_train(args) -> int:
         manifest, replace(split, test_users=()), data_dir, args.rate)
 
     spec = net.default_spec(args.rate)
-    plan = None
-    pool = None
-    if args.copies > 0:
-        plan = AugmentPlan(copies_per_clip=args.copies, seed=args.seed)
-        if args.noise_dir:
-            pool = load_noise_pool(args.noise_dir, args.rate)
-        else:
-            pool = synth.generate_noise_pool(32, args.rate, args.seed)
-
+    cfg, plan, pool, record = _training_setup(args, args.noise_dir)
     params, history = pipeline.train(
         train_set, val_set, spec, cfg, plan=plan, noise_pool=pool,
         checkpoint_dir=args.checkpoint_dir,
@@ -154,10 +163,7 @@ def cmd_train(args) -> int:
     Path(str(out) + ".history.csv").write_text(pipeline.history_to_csv(history),
                                                encoding="utf-8")
     _write_run_config(Path(str(out) + ".run.json"), "train", {
-        "rate": args.rate, "epochs": args.epochs, "batch_size": args.batch_size,
-        "lr": args.lr, "optimizer": args.optimizer, "patience": args.patience,
-        "copies": args.copies, "class_weighting": args.class_weighting,
-        "seed": args.seed,
+        **record,
         "train_users": list(split.train_users), "val_users": list(split.val_users),
         "test_users": list(split.test_users),
     })
@@ -199,10 +205,7 @@ def cmd_ablate(args) -> int:
     sets = pipeline.split_by_user(manifest, split, data_dir, args.rate)
 
     spec = net.default_spec(args.rate)
-    cfg = _train_cfg_from_args(args)
-    plan = AugmentPlan(copies_per_clip=args.copies, seed=args.seed) if args.copies > 0 else None
-    pool = synth.generate_noise_pool(32, args.rate, args.seed) if plan else None
-
+    cfg, plan, pool, record = _training_setup(args)
     reports = evalkit.ablation(*sets, spec, cfg, plan=plan, noise_pool=pool)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,12 +214,7 @@ def cmd_ablate(args) -> int:
         (out_dir / f"{variant}.json").write_text(report.to_json(), encoding="utf-8")
         lines.append(f"{variant:18s} acc2 {report.acc2:.4f}  f1_2 {report.f1_2:.4f}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_run_config(out_dir / "run_config.json", "ablate", {
-        "rate": args.rate, "epochs": args.epochs, "batch_size": args.batch_size,
-        "lr": args.lr, "optimizer": args.optimizer, "patience": args.patience,
-        "copies": args.copies, "class_weighting": args.class_weighting,
-        "seed": args.seed,
-    })
+    _write_run_config(out_dir / "run_config.json", "ablate", record)
     print("\n".join(lines))
     return 0
 
@@ -325,12 +323,15 @@ def _config_value(parser: argparse.ArgumentParser, a: argparse.Action, text: str
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
+    # --config as the top-level parser reads it, in every spelling argparse
+    # accepts (--config PATH, --config=PATH, --conf PATH); from the command on,
+    # every argument is the command's
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs=argparse.REMAINDER)
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return
-    at = argv.index("--config") + 1
-    if at == len(argv):
-        parser.error("argument --config: expected one argument")
-    path = argv[at]
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

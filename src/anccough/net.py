@@ -10,29 +10,28 @@ All math runs in the dtype of the supplied parameters: float32 in production,
 float64 when tests need finite-difference-grade precision.
 
 `loss_and_grads` splits the batch into `predict_probs`' chunks of
-CHUNK_BYTES and runs the conv blocks on them on the calling thread and, where
-this process may use two CPUs, one helper started and joined within the call.
-No bit depends on the chunking or the thread count: every kernel computes
-each window on its own (one gemm per window per tap), and every sum over the
-batch (the loss, the dense layers, each conv layer's weight and bias
-gradients) runs on the calling thread over the whole batch, in one order.
-Helpers call only private layer functions. Scoring (`forward`,
-`forward_batch`, `predict_probs`) stays on the calling thread: when
-`cli detect` scored on two threads, the batch-1 `StreamingDetector` steps
-that followed it ran about a quarter slower on a 2-vCPU host.
+CHUNK_BYTES and runs the conv blocks on them, forward and then backward, on
+one `threads.helpers()` pool (the calling thread plus, with two CPUs, one
+helper; see threads.py for the schedule). No bit depends on the chunking or
+the thread count: every kernel computes each window on its own (one gemm per
+window per tap), and every sum over the batch (the loss, the dense layers,
+each conv layer's weight and bias gradients) runs on the calling thread over
+the whole batch, in one order. Helpers call only private layer functions.
+Scoring (`forward`, `forward_batch`, `predict_probs`) stays on the calling
+thread: when `cli detect` scored on two threads, the batch-1
+`StreamingDetector` steps that followed it ran about a quarter slower on a
+2-vCPU host.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dsp import SUPPORTED_RATES, DualChannelWindow
 from .errors import InvalidSpec, ShapeMismatch, UnsupportedRate
-from .threads import thread_count
+from .threads import helpers
 
 CLASS_SUBJECT = 0
 CLASS_OTHER = 1
@@ -521,21 +520,6 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, sample_weight: np.nda
     return loss, dlogits
 
 
-@contextmanager
-def _chunk_mapper():
-    """A map over chunks on the calling thread plus T - 1 helpers, T =
-    `thread_count()`: the caller runs chunks 0, T, 2T, ..., the helpers the
-    ones between, and results come back in chunk order. The pool starts a
-    thread only on submit, so at T = 1 it starts none, and it is joined on
-    exit, so none outlives the call."""
-    threads = thread_count()
-    with ThreadPoolExecutor(max(threads - 1, 1)) as helpers:
-        def map_chunks(fn, chunks) -> list:
-            theirs = {i: helpers.submit(fn, c) for i, c in enumerate(chunks) if i % threads}
-            return [theirs[i].result() if i in theirs else fn(c) for i, c in enumerate(chunks)]
-        yield map_chunks
-
-
 def _chunk_size(spec: ModelSpec, dtype: np.dtype) -> int:
     """Windows per chunk: as many as fit CHUNK_BYTES of the largest activation."""
     largest = max(int(np.prod(s)) for s in activation_shapes(spec))
@@ -545,11 +529,7 @@ def _chunk_size(spec: ModelSpec, dtype: np.dtype) -> int:
 def forward(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, float]:
     """Probabilities (p_subject_cough, p_other) for one normalized window."""
     data = window.data if isinstance(window, DualChannelWindow) else np.asarray(window)
-    if tuple(data.shape) != spec.input_shape:
-        raise ShapeMismatch(f"input shape {data.shape} != {spec.input_shape}")
-    logits, _ = _run_forward(_layer_plan(spec, params), data.astype(params[0].dtype)[None],
-                             keep_cache=False)
-    probs = _softmax(logits)[0]
+    probs = forward_batch(spec, params, data[None])[0]
     return float(probs[CLASS_SUBJECT]), float(probs[CLASS_OTHER])
 
 
@@ -592,16 +572,17 @@ def loss_and_grads(
     head_at = next(i for i, (layer, _, _) in enumerate(plan) if isinstance(layer, Dense))
     step = _chunk_size(spec, x.dtype)
     rows = [slice(i, i + step) for i in range(0, len(x), step)]
-    with _chunk_mapper() as map_chunks:
-        trunk = map_chunks(lambda r: _run_forward(plan[:head_at], x[r], keep_cache=True), rows)
+    with helpers() as ordered_map:
+        trunk = list(ordered_map(lambda r: _run_forward(plan[:head_at], x[r], keep_cache=True),
+                                 rows))
         caches = [cache for _, cache in trunk]
         features = np.concatenate([h for h, _ in trunk], axis=0)
         logits, head_cache = _run_forward(plan[head_at:], features, keep_cache=True)
         loss, dlogits = _cross_entropy(logits, labels, sample_weight)
         head_grads, dfeatures = _head_backward(head_cache, dlogits)
         bufs = _conv_grad_buffers(caches[0], len(x))
-        map_chunks(lambda i: _trunk_backward(caches[i], dfeatures, rows[i], bufs),
-                   range(len(rows)))
+        list(ordered_map(lambda i: _trunk_backward(caches[i], dfeatures, rows[i], bufs),
+                         range(len(rows))))
     grads: list[np.ndarray] = []
     for douts, prods in bufs.values():
         grads += _conv_weight_grads(douts, prods)

@@ -33,7 +33,7 @@ from .synth import (
     DatasetManifest,
     read_annotations,
 )
-from .threads import ordered_map, thread_count
+from .threads import helpers
 
 WINDOW_LABELS = ("subject_cough", "env_cough", "other")
 
@@ -151,14 +151,13 @@ def load_labeled_windows(
 ) -> list[LabeledWindow]:
     """Load, decimate, window and label every manifest entry (optionally filtered).
 
-    Recordings go through `threads.ordered_map` on T = threads.thread_count()
-    threads (at most 2): the calling thread loads, decimates and labels every
-    T-th recording, T - 1 helper threads the ones between, and the windows
-    come back in manifest order, so the list is the same for any T. With one
-    CPU no thread is started. Helpers enter none of this module's bindings
-    (load_recording, decimate, label_windows, slice_windows) nor
-    wavio.read_wav, so a function swapped into one of them sees the calling
-    thread's recordings only.
+    Recordings go through a `threads.helpers()` pool: the calling thread
+    loads, decimates and labels some, at most one helper thread the others
+    (see threads.py), and the windows come back in manifest order, so the
+    list is the same for any thread count. With one CPU no thread is started.
+    Helpers enter none of this module's bindings (load_recording, decimate,
+    label_windows, slice_windows) nor wavio.read_wav, so a function swapped
+    into one of them sees the calling thread's recordings only.
     """
     data_dir = Path(data_dir)
     entries = [e for e in manifest.entries if users is None or e.user_id in users]
@@ -177,8 +176,8 @@ def load_labeled_windows(
         return load(entry, _helper_load, _decimate, _helper_label)
 
     out = []
-    with ordered_map(on_caller, entries, thread_count(), on_helper) as labeled:
-        for windows in labeled:
+    with helpers() as ordered_map:
+        for windows in ordered_map(on_caller, entries, on_helper):
             out.extend(windows)
     return out
 

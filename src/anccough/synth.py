@@ -25,7 +25,7 @@ from scipy.signal import butter, freqz, lfilter
 from . import wavio
 from .dsp import DualChannelWindow
 from .errors import IoFailure, MalformedDatasetFile
-from .threads import ordered_map, thread_count as _render_thread_count
+from .threads import helpers
 
 GENERATOR_RATE_HZ = 48000
 
@@ -727,13 +727,11 @@ def generate_dataset(
     are derived from (seed, user, environment, group), so output is
     byte-identical for a given seed regardless of generation order.
 
-    Recordings render through `threads.ordered_map` on T =
-    threads.thread_count() threads (at most 2): the calling thread renders
-    every T-th recording, and T - 1 helper threads, started and joined within
-    this call, render the ones between. Only the calling thread writes (WAVs,
+    Recordings render on a `threads.helpers()` pool: the calling thread
+    renders some, at most one helper thread, started and joined within this
+    call, the others (see threads.py). Only the calling thread writes (WAVs,
     annotations, then the manifest, in the serial order), so every byte is the
-    same for any T, and each thread holds at most one rendered recording that
-    is not yet written. With one CPU no thread is started.
+    same for any thread count. With one CPU no thread is started.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
@@ -778,8 +776,8 @@ def generate_dataset(
         )
 
     try:
-        with ordered_map(render, jobs, _render_thread_count()) as rendered:
-            for job, recording in zip(jobs, rendered):
+        with helpers() as ordered_map:
+            for job, recording in zip(jobs, ordered_map(render, jobs)):
                 write(job, recording)
         manifest = DatasetManifest(entries=tuple(entries), seed=seed)
         write_manifest(manifest, out_dir / MANIFEST_FILENAME)

@@ -1,18 +1,26 @@
-"""How many threads the library's parallel loops run on, and the ordered map
-two of them share.
+"""The one helper-thread pool of the library's parallel loops.
 
-`ordered_map` runs a function over a list of items on the calling thread plus
-T - 1 helpers, T = `thread_count()`, and hands the results back in item order.
-`synth.generate_dataset` renders recordings through it (only the caller
-writes), and `pipeline.load_labeled_windows` loads, decimates and labels them
-through it. `net.loss_and_grads` keeps its own chunk mapper (`net._chunk_mapper`),
-whose pool serves two maps in one call. Every pool is opened and joined
-within the call, so no thread outlives it, and none starts when T is 1.
+`helpers()` reads `thread_count()` once, T, and opens a pool of T - 1 helper
+threads for its with-block, which gets `ordered_map(fn, items,
+helper_fn=None)`: `fn` over `items` on the calling thread plus the helpers,
+results in item order. `synth.generate_dataset` renders and
+`pipeline.load_labeled_windows` loads through one map each;
+`net.loss_and_grads` runs its forward and backward chunk maps on one pool.
+
+Items go in rounds of T: the calling thread runs the first item of each round,
+the helpers the rest. When round k starts, the helpers' items of round k + 1
+are submitted, so a helper holds at most one result the consumer has not
+taken, plus one in progress (strict rounds left it idle at each round's end,
+about 5% of a training step on a 2-core box). No result depends on the
+schedule or on T, as each item is computed on its own. The pool starts a
+thread only on submit, so none starts when T is 1, and leaving the with-block,
+by an exception too, cancels the items not yet started and joins the helpers.
 
 A helper never calls a public function through a binding a caller may swap
 (a module attribute): the traced benchmark run (perfbench/spans.py) swaps
 those for span wrappers whose recorder keeps one open-span stack per process,
-so a helper entering one closes the caller's spans out of order.
+so a helper entering one closes the caller's spans out of order. That is what
+`helper_fn` is for: helpers run it, when given, in place of `fn`.
 """
 
 from __future__ import annotations
@@ -39,28 +47,27 @@ def thread_count() -> int:
 
 
 @contextmanager
-def ordered_map(fn: Callable, items: Sequence, threads: int,
-                helper_fn: Callable | None = None) -> Iterator[Iterator]:
-    """`fn` over `items` on `threads` threads, the calling one included; the
-    with-block gets an iterator of the results in item order. Helpers run
-    `helper_fn` in place of `fn` when it is given; it must return what `fn`
-    would.
+def helpers() -> Iterator[Callable[..., Iterator]]:
+    """The pool and its ordered map for the with-block, as described above.
+    `helper_fn` must return what `fn` would. An exception from an item reaches
+    the consumer at that item's place."""
+    threads = thread_count()
+    pool = ThreadPoolExecutor(max(threads - 1, 1))
 
-    Items go in rounds of `threads`: the calling thread runs the first of each
-    round while helpers run the rest, and the round's results are handed on
-    before the next round starts, so each thread holds at most one result the
-    consumer has not taken. An exception from `fn` reaches the consumer at its
-    item's place. Leaving the with-block, by an exception too, joins the
-    helpers, so none outlives it.
-    """
-    # The pool starts a thread only on submit, so at one thread it starts none.
-    with ThreadPoolExecutor(max(threads - 1, 1)) as helpers:
-        def results() -> Iterator:
-            for at in range(0, len(items), threads):
-                own, *others = items[at:at + threads]
-                theirs = [helpers.submit(helper_fn or fn, item) for item in others]
-                yield fn(own)
-                for future in theirs:
-                    yield future.result()
+    def ordered_map(fn: Callable, items: Sequence,
+                    helper_fn: Callable | None = None) -> Iterator:
+        def submit(at: int) -> list:
+            return [pool.submit(helper_fn or fn, item) for item in items[at + 1:at + threads]]
 
-        yield results()
+        theirs = submit(0)
+        for at in range(0, len(items), threads):
+            ahead = submit(at + threads)
+            yield fn(items[at])
+            for future in theirs:
+                yield future.result()
+            theirs = ahead
+
+    try:
+        yield ordered_map
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -220,7 +220,7 @@ def test_a_command_loads_only_the_users_it_uses(small_dataset, tmp_path, monkeyp
         return load_recording(path)
 
     # helper threads never enter the module binding, so load on the caller alone
-    monkeypatch.setattr(pipeline, "thread_count", lambda: 1)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 1)
     monkeypatch.setattr(pipeline, "load_recording", spy_load)
     assert main(_split_command(command, root, tmp_path, "0", "1", "2")) == 0
     assert sorted(loaded) == sorted(root / e.wav_path for e in manifest.entries
@@ -308,6 +308,19 @@ def test_bad_config_is_usage_error(tmp_path, capsys, config_text):
     assert not (tmp_path / "ds").exists()
     if config_text == "seed=1\nbogus-key=3\n":
         assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+                         ids=["separate", "equals", "abbreviated"])
+def test_every_config_spelling_is_applied(tmp_path, spelling):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed=-1\n")
+    argv = [a.format(cfg_path) for a in spelling] + ["synth", "--out", str(tmp_path / "ds"),
+                                                     "--users", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "ds").exists()
 
 
 @pytest.mark.parametrize("config_text,named", [

@@ -516,11 +516,11 @@ def test_loss_and_grads_do_not_depend_on_threads_or_chunking(monkeypatch, n, dty
     x = rng.standard_normal((n,) + spec.input_shape).astype(dtype)
     labels = rng.integers(0, 2, n)
     for sample_weight in (None, rng.uniform(0.5, 2.0, n)):
-        monkeypatch.setattr(net, "thread_count", lambda: 1)
+        monkeypatch.setattr("anccough.threads.thread_count", lambda: 1)
         _windows_per_chunk(monkeypatch, spec, dtype, n)
         want = _grads_bytes(spec, params, x, labels, sample_weight)
         for threads in (1, 2):
-            monkeypatch.setattr(net, "thread_count", lambda: threads)
+            monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
             for windows in (1, 3, n + 1):
                 _windows_per_chunk(monkeypatch, spec, dtype, windows)
                 before = threading.active_count()
@@ -536,9 +536,9 @@ def test_loss_and_grads_at_8k_do_not_depend_on_threads(monkeypatch):
     rng = np.random.default_rng(47)
     x = rng.standard_normal((20,) + spec.input_shape).astype(np.float32)
     labels = rng.integers(0, 2, 20)
-    monkeypatch.setattr(net, "thread_count", lambda: 2)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
     split = _grads_bytes(spec, params, x, labels, None)
-    monkeypatch.setattr(net, "thread_count", lambda: 1)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 1)
     _windows_per_chunk(monkeypatch, spec, np.float32, 20)
     assert _grads_bytes(spec, params, x, labels, None) == split
 
@@ -577,7 +577,7 @@ def test_a_failed_helper_chunk_propagates_and_leaves_no_thread(monkeypatch):
             raise boom
         trunk_backward(cache, dfeatures, rows, bufs)
 
-    monkeypatch.setattr(net, "thread_count", lambda: 2)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
     monkeypatch.setattr(net, "_trunk_backward", flaky)
     _windows_per_chunk(monkeypatch, spec, np.float32, 2)
     x = np.zeros((6,) + spec.input_shape, np.float32)

@@ -163,7 +163,7 @@ def test_labeled_windows_digest(small_dataset, rate):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_labeled_windows_do_not_depend_on_the_thread_count(small_dataset, monkeypatch, threads):
     root, manifest = small_dataset
-    monkeypatch.setattr(pipeline, "thread_count", lambda: threads)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
     before = threading.active_count()
     splits = split_by_user(manifest, default_split(manifest.user_ids()), root, 8000)
     assert threading.active_count() == before
@@ -182,7 +182,7 @@ def test_a_traced_load_on_two_threads_closes_every_span_in_order(small_dataset, 
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
     spec.loader.exec_module(spans)
     root, manifest = small_dataset
-    monkeypatch.setattr(pipeline, "thread_count", lambda: 2)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
     recorder = spans.Recorder()
     restore = spans.instrument(recorder, anccough)
     try:
@@ -227,7 +227,7 @@ def test_a_truncated_wav_names_its_file_and_leaves_no_thread(tmp_path, monkeypat
     manifest = tiny_dataset(tmp_path, 6)
     bad = tmp_path / f"u{truncated}.wav"
     bad.write_bytes(bad.read_bytes()[:1000])
-    monkeypatch.setattr(pipeline, "thread_count", lambda: 2)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
     before = threading.active_count()
     with pytest.raises(MalformedHeader, match=f"^{re.escape(str(bad))}: "):
         pipeline.load_labeled_windows(manifest, tmp_path, 8000)

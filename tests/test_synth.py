@@ -25,7 +25,7 @@ from anccough.synth import (
     write_annotations,
     write_manifest,
 )
-from anccough.threads import THREADS_MAX
+from anccough.threads import thread_count
 
 
 def band_noise_48k(n, lo, hi, seed=0, tilted=False):
@@ -344,7 +344,7 @@ def tree_digest(root):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_dataset_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, threads):
-    monkeypatch.setattr(synth, "_render_thread_count", lambda: threads)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
     before = threading.active_count()
     manifest = synth.generate_dataset(tmp_path, n_users=2, seed=3, config=SMALL_CONFIG)
     assert threading.active_count() == before
@@ -352,13 +352,9 @@ def test_dataset_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, 
     assert manifest == read_manifest(tmp_path / synth.MANIFEST_FILENAME)
 
 
-def test_render_thread_count_is_capped():
-    assert 1 <= synth._render_thread_count() <= THREADS_MAX
-
-
 def test_one_cpu_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert synth._render_thread_count() == 1
+    assert thread_count() == 1
     before = threading.active_count()
     seen = []
     write_wav = wavio.write_wav
@@ -376,7 +372,7 @@ def test_one_cpu_starts_no_thread(tmp_path, monkeypatch):
 @pytest.mark.parametrize("failing_group", [0, 1])  # T = 2: the caller's, then a helper's
 def test_a_failed_render_propagates_and_leaves_no_thread(tmp_path, monkeypatch, threads,
                                                          failing_group):
-    monkeypatch.setattr(synth, "_render_thread_count", lambda: threads)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
     build = synth._build_recording
     boom = RuntimeError("render failed")
 
@@ -396,7 +392,7 @@ def test_a_failed_render_propagates_and_leaves_no_thread(tmp_path, monkeypatch, 
 
 
 def test_every_wav_is_written_on_the_calling_thread(tmp_path, monkeypatch):
-    monkeypatch.setattr(synth, "_render_thread_count", lambda: 2)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
     write_wav = wavio.write_wav
     writers, renderers = [], set()
 
@@ -420,7 +416,7 @@ def test_every_wav_is_written_on_the_calling_thread(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_unwritable_out_dir_is_io_failure(tmp_path, monkeypatch, threads):
-    monkeypatch.setattr(synth, "_render_thread_count", lambda: threads)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
     before = threading.active_count()
