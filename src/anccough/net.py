@@ -9,18 +9,20 @@ read through a softmax.
 All math runs in the dtype of the supplied parameters: float32 in production,
 float64 when tests need finite-difference-grade precision.
 
-`loss_and_grads` splits the batch into `predict_probs`' chunks of
-CHUNK_BYTES and runs the conv blocks on them, forward and then backward, on
-one `threads.helpers()` pool (the calling thread plus, with two CPUs, one
-helper; see threads.py for the schedule). No bit depends on the chunking or
-the thread count: every kernel computes each window on its own (one gemm per
-window per tap), and every sum over the batch (the loss, the dense layers,
-each conv layer's weight and bias gradients) runs on the calling thread over
-the whole batch, in one order. Helpers call only private layer functions.
-Scoring (`forward`, `forward_batch`, `predict_probs`) stays on the calling
-thread: when `cli detect` scored on two threads, the batch-1
-`StreamingDetector` steps that followed it ran about a quarter slower on a
-2-vCPU host.
+`predict_probs` scores the batch in chunks of CHUNK_BYTES, and
+`loss_and_grads` runs the conv blocks on the same chunks, forward and then
+backward. Both map their chunks over one `threads.helpers()` pool per call
+(the calling thread plus, with two CPUs, one helper; see threads.py for the
+schedule). No bit depends on the chunking or the thread count: every kernel
+computes each window on its own (one gemm per window per tap), and every sum
+over the batch (the loss, the dense layers, each conv layer's weight and bias
+gradients) runs on the calling thread over the whole batch, in one order.
+Helpers call only private functions (`_run_forward`, `_softmax` and the
+backward kernels). Only `forward` and `stream.detect` stay on the calling
+thread; `stream.detect` runs the same chunk loop through the builtin `map`.
+That is the wearer's path (`cli detect`, then batch-1 `StreamingDetector`
+steps), and when `cli detect` scored on two threads the steps after it ran
+about a quarter slower on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dsp import SUPPORTED_RATES, DualChannelWindow
-from .errors import InvalidSpec, ShapeMismatch, UnsupportedRate
+from .errors import InvalidSpec, NonFiniteWeights, ShapeMismatch, UnsupportedRate
 from .threads import helpers
 
 CLASS_SUBJECT = 0
@@ -270,10 +272,6 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> list[np.nda
     return params
 
 
-def zero_params(spec: ModelSpec, dtype=np.float32) -> list[np.ndarray]:
-    return [np.zeros(s, dtype=dtype) for s in param_shapes(spec)]
-
-
 def validate_params(spec: ModelSpec, params: list[np.ndarray]) -> None:
     expected = param_shapes(spec)
     if len(params) != len(expected):
@@ -281,8 +279,10 @@ def validate_params(spec: ModelSpec, params: list[np.ndarray]) -> None:
     for i, (arr, shape) in enumerate(zip(params, expected)):
         if tuple(arr.shape) != shape:
             raise ShapeMismatch(f"array {i} has shape {arr.shape}, spec wants {shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"array {i} contains non-finite values")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise NonFiniteWeights(f"array {i} holds a non-finite value at flat index "
+                                   f"{int(np.argmin(finite))}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,25 +533,45 @@ def forward(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, f
     return float(probs[CLASS_SUBJECT]), float(probs[CLASS_OTHER])
 
 
-def forward_batch(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Probabilities (n, 2) for a batch of inputs shaped (n, 2, L)."""
+def _check_batch_shape(spec: ModelSpec, x: np.ndarray) -> None:
     if tuple(x.shape[1:]) != spec.input_shape:
         raise ShapeMismatch(f"batch shape {x.shape[1:]} != {spec.input_shape}")
-    logits, _ = _run_forward(_layer_plan(spec, params), x.astype(params[0].dtype),
-                             keep_cache=False)
+
+
+def _chunk_probs(plan, x: np.ndarray) -> np.ndarray:
+    """Probabilities (n, 2) of one chunk through the layers of `plan`."""
+    logits, _ = _run_forward(plan, x, keep_cache=False)
     return _softmax(logits)
 
 
+def forward_batch(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Probabilities (n, 2) for a batch of inputs shaped (n, 2, L), as one chunk."""
+    _check_batch_shape(spec, x)
+    return _chunk_probs(_layer_plan(spec, params), x.astype(params[0].dtype))
+
+
+def _score_in_chunks(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray,
+                     map_fn) -> np.ndarray:
+    """Probabilities (n, 2) of x, its chunks mapped in order by `map_fn`: the
+    pool's ordered map in `predict_probs`, the builtin `map` in `stream.detect`."""
+    _check_batch_shape(spec, x)
+    plan = list(_layer_plan(spec, params))
+    dtype = params[0].dtype
+    step = _chunk_size(spec, dtype)
+    outs = map_fn(lambda i: _chunk_probs(plan, x[i:i + step].astype(dtype)),
+                  range(0, len(x), step))
+    return np.concatenate(list(outs), axis=0)
+
+
 def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Chunked forward_batch, keeping intermediate activations bounded.
+    """Probabilities (n, 2) of a batch, scored in chunks on up to two threads.
 
     A chunk holds as many windows as fit CHUNK_BYTES of the largest layer
     activation, so each layer's working set stays cache-sized. Scores do not
-    depend on the chunking.
+    depend on the chunking or the thread count.
     """
-    step = _chunk_size(spec, params[0].dtype)
-    outs = [forward_batch(spec, params, x[i:i + step]) for i in range(0, len(x), step)]
-    return np.concatenate(outs, axis=0)
+    with helpers() as ordered_map:
+        return _score_in_chunks(spec, params, x, ordered_map)
 
 
 def loss_and_grads(

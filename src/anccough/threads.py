@@ -3,9 +3,12 @@
 `helpers()` reads `thread_count()` once, T, and opens a pool of T - 1 helper
 threads for its with-block, which gets `ordered_map(fn, items,
 helper_fn=None)`: `fn` over `items` on the calling thread plus the helpers,
-results in item order. `synth.generate_dataset` renders and
-`pipeline.load_labeled_windows` loads through one map each;
+results in item order. `synth.generate_dataset` renders,
+`pipeline.load_labeled_windows` loads and `net.predict_probs` scores (for
+`evalkit.evaluate` and `pipeline.train`'s validation) through one map each;
 `net.loss_and_grads` runs its forward and backward chunk maps on one pool.
+`stream.detect`, the wearer's path, scores on the calling thread alone (see
+net.py).
 
 Items go in rounds of T: the calling thread runs the first item of each round,
 the helpers the rest. When round k starts, the helpers' items of round k + 1

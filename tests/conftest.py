@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,21 @@ from anccough.dsp import DualChannelRecording, DualChannelWindow
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
                           max_examples=150)
 settings.load_profile("tier1")
+
+
+def spy_thread_starts(monkeypatch, cpus: set[int]) -> list[threading.Thread]:
+    """Pretend the process may run on `cpus`; returns the list every thread
+    started from now on is appended to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    starts = []
+    start = threading.Thread.start
+
+    def spy_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    return starts
 
 
 def make_window(rate_hz: int = 8000, seed: int = 0, scale: float = 0.5) -> DualChannelWindow:

@@ -9,7 +9,7 @@ from anccough import net
 from anccough.cli import main
 from anccough.model_io import load_model, save_model
 from anccough.synth import read_manifest
-from conftest import write_pcm16_wav
+from conftest import spy_thread_starts, write_pcm16_wav
 
 
 def tree_bytes(root):
@@ -100,6 +100,21 @@ def test_detect_decimates_input(tmp_path):
                  "--out", str(out_path)]) == 0
     for line in out_path.read_text().splitlines():
         json.loads(line)
+
+
+def test_detect_starts_no_thread_at_two_cpus(tmp_path, monkeypatch):
+    from anccough import wavio
+
+    wav_path = tmp_path / "x.wav"
+    rng = np.random.default_rng(2)  # 12 windows: two scoring chunks at 8 kHz
+    wavio.write_wav(wav_path, (0.2 * rng.standard_normal((48000, 2))).astype(np.float32), 8000)
+    model_path = _detect_model(tmp_path)
+    out_path = tmp_path / "events.ndjson"
+    starts = spy_thread_starts(monkeypatch, {0, 1})
+    assert main(["detect", "--wav", str(wav_path), "--model", str(model_path),
+                 "--out", str(out_path), "--threshold", "0"]) == 0
+    assert not starts
+    assert [json.loads(line)["window_count"] for line in out_path.read_text().splitlines()] == [12]
 
 
 def _detect_model(tmp_path):

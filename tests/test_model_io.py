@@ -147,6 +147,19 @@ def test_non_finite_weight_is_typed_and_located(saved, array, index, value):
     assert f"array {array} " in str(exc.value) and f"offset {at}" in str(exc.value)
 
 
+@pytest.mark.parametrize("array,index,value", [(0, 0, float("nan")), (2, 17, float("inf"))])
+def test_saving_a_non_finite_weight_is_typed_and_writes_nothing(tmp_path, array, index, value):
+    spec = net.reduced_spec(64)
+    params = net.init_params(spec, seed=42)
+    params[array].flat[index] = value
+    path = tmp_path / "model.ecn1"
+    with pytest.raises(NonFiniteWeights) as exc:
+        save_model(spec, params, path)
+    assert isinstance(exc.value, AnccoughError) and isinstance(exc.value, ValueError)
+    assert f"array {array} " in str(exc.value) and f"flat index {index}" in str(exc.value)
+    assert not path.exists()
+
+
 def test_empty_file(saved):
     _, _, path = saved
     path.write_bytes(b"")

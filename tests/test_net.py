@@ -7,7 +7,6 @@ All gradient checks run the engine in float64.
 """
 
 import hashlib
-import os
 import threading
 
 import numpy as np
@@ -31,6 +30,7 @@ from anccough.net import (
     _run_forward,
     _softmax,
 )
+from conftest import spy_thread_starts
 
 EPS_LADDER = (1e-3, 1e-5, 1e-6)
 
@@ -40,6 +40,10 @@ def _conv_grads(dout, xp, w, stride, in_len, need_dx=True):
     prods = np.empty((w.shape[2], len(dout)) + w.shape[:2], dtype=w.dtype)
     dx = _conv_backward(dout, xp, w, stride, in_len, prods, need_dx)
     return (dx, *_conv_weight_grads(dout, prods))
+
+
+def _zero_params(spec, dtype=np.float32):
+    return [np.zeros(shape, dtype=dtype) for shape in net.param_shapes(spec)]
 
 
 def _rand_params(spec, seed):
@@ -164,7 +168,7 @@ def test_forward_probabilities_sum_to_one():
 
 def test_forward_zero_params_is_uniform():
     spec = net.reduced_spec(64)
-    params = net.zero_params(spec)
+    params = _zero_params(spec)
     x = np.random.default_rng(1).standard_normal(spec.input_shape)
     assert net.forward(spec, params, x) == (0.5, 0.5)
 
@@ -187,7 +191,7 @@ def test_forward_shape_mismatch():
 
 def test_loss_at_zero_params_is_ln2():
     spec = net.reduced_spec(64)
-    params = net.zero_params(spec, dtype=np.float64)
+    params = _zero_params(spec, np.float64)
     x = np.random.default_rng(4).standard_normal(spec.input_shape)
     loss, _ = net.loss_and_grads(spec, params, x[None], np.array([net.CLASS_SUBJECT]))
     assert abs(loss - np.log(2)) < 1e-9
@@ -195,7 +199,7 @@ def test_loss_at_zero_params_is_ln2():
 
 def test_final_bias_gradient_at_zero_params():
     spec = net.reduced_spec(64)
-    params = net.zero_params(spec, dtype=np.float64)
+    params = _zero_params(spec, np.float64)
     x = np.random.default_rng(5).standard_normal(spec.input_shape)
     _, grads = net.loss_and_grads(spec, params, x[None], np.array([net.CLASS_SUBJECT]))
     assert np.allclose(grads[-1], [-0.5, 0.5])
@@ -394,17 +398,19 @@ def test_batched_forward_matches_single():
 @pytest.mark.parametrize("spec", [net.reduced_spec(64), net.default_spec(8000)],
                          ids=["reduced", "8k"])
 def test_probabilities_are_batch_invariant(spec, monkeypatch):
-    """A window scores bit-identically alone, in a batch, and at any chunking."""
+    """A window scores bit-identically alone, in a batch, and at any chunking
+    and thread count."""
     params = net.init_params(spec, seed=17)
     for i in range(1, len(params), 2):  # nonzero biases, so every term counts
         params[i] = np.random.default_rng(i).normal(0.0, 0.05, params[i].shape).astype(np.float32)
     xs = np.random.default_rng(8).standard_normal((300,) + spec.input_shape).astype(np.float32)
     batch = net.forward_batch(spec, params, xs[:16])
-    largest = max(int(np.prod(s)) for s in net.activation_shapes(spec))
     chunked = {}
-    for b in (1, 7, 256):  # windows per chunk
-        monkeypatch.setattr(net, "CHUNK_BYTES", b * largest * params[0].itemsize)
-        chunked[b] = net.predict_probs(spec, params, xs)
+    for threads in (1, 2):
+        monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
+        for b in (1, 7, 256):  # windows per chunk
+            _windows_per_chunk(monkeypatch, spec, np.float32, b)
+            chunked[threads, b] = net.predict_probs(spec, params, xs)
     for i in (0, 1, 6, 7, 15, 255, 256, 299):
         single = np.array(net.forward(spec, params, xs[i]))
         if i < 16:
@@ -476,15 +482,17 @@ def test_predict_probs_default_chunks_are_byte_sized(monkeypatch):
     windows at a lower rate or a narrower dtype, and never fewer than one."""
     sizes = {}
 
-    def spy(spec, params, x):
-        sizes.setdefault((spec.sample_rate_hz, params[0].dtype.name), []).append(len(x))
+    def spy(plan, x):
+        rate = 2 * x.shape[2]  # a window is half a second long
+        sizes.setdefault((rate, x.dtype.name), []).append(len(x))
         return np.zeros((len(x), 2))
 
-    monkeypatch.setattr(net, "forward_batch", spy)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 1)
+    monkeypatch.setattr(net, "_chunk_probs", spy)
     for rate in (8000, 48000):
         spec = net.default_spec(rate)
         for dtype in (np.float32, np.float64):
-            params = net.zero_params(spec, dtype)
+            params = _zero_params(spec, dtype)
             out = net.predict_probs(spec, params, np.zeros((20,) + spec.input_shape, dtype))
             assert out.shape == (20, 2)
     for (rate, dtype), chunks in sizes.items():
@@ -545,24 +553,16 @@ def test_loss_and_grads_at_8k_do_not_depend_on_threads(monkeypatch):
 
 @pytest.mark.parametrize("cpus,started", [({0}, 0), ({0, 1}, 1), ({0, 1, 2, 3}, 1)])
 def test_threads_started_per_call(monkeypatch, cpus, started):
-    """One helper at most per training step, none at one CPU, and none for scoring."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    starts = []
-    start = threading.Thread.start
-
-    def spy_start(thread):
-        starts.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    """One helper at most per scoring call and per training step, none at one CPU."""
+    starts = spy_thread_starts(monkeypatch, cpus)
     spec = net.reduced_spec(64)
     params = net.init_params(spec, seed=61)
     _windows_per_chunk(monkeypatch, spec, np.float32, 2)
     x = np.zeros((9,) + spec.input_shape, np.float32)
     net.predict_probs(spec, params, x)
-    assert not starts
-    net.loss_and_grads(spec, params, x, np.zeros(9, int))
     assert len(starts) == started
+    net.loss_and_grads(spec, params, x, np.zeros(9, int))
+    assert len(starts) == 2 * started
     assert not any(t.is_alive() for t in starts)
 
 
@@ -586,3 +586,86 @@ def test_a_failed_helper_chunk_propagates_and_leaves_no_thread(monkeypatch):
         net.loss_and_grads(spec, params, x, np.zeros(6, int))
     assert exc.value is boom
     assert threading.active_count() == before
+
+
+# --- scoring on two threads ---
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("rate", [8000, 16000, 48000])
+def test_predict_probs_bytes_do_not_depend_on_threads_or_chunking(monkeypatch, rate, dtype):
+    """Every window's probabilities at 1 and 2 threads, in chunks of 1 and 3
+    windows and of the default size, are the bytes of that window scored alone."""
+    spec = net.default_spec(rate)
+    params = net.init_params(spec, seed=71, dtype=dtype)
+    rng = np.random.default_rng(73)
+    for i in range(1, len(params), 2):
+        params[i] = rng.normal(0.0, 0.05, params[i].shape).astype(dtype)
+    n = 2 * net._chunk_size(spec, np.dtype(dtype)) + 1  # the default size makes 3 chunks
+    x = rng.standard_normal((n,) + spec.input_shape).astype(np.float32)
+    want = np.concatenate([net.forward_batch(spec, params, x[i:i + 1]) for i in range(n)])
+    default_bytes = net.CHUNK_BYTES
+    for threads in (1, 2):
+        monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
+        for windows in (1, 3, None):
+            if windows is None:
+                monkeypatch.setattr(net, "CHUNK_BYTES", default_bytes)
+            else:
+                _windows_per_chunk(monkeypatch, spec, dtype, windows)
+            before = threading.active_count()
+            got = net.predict_probs(spec, params, x)
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == want.tobytes()
+            assert threading.active_count() == before
+
+
+def test_a_failed_helper_scoring_chunk_raises_at_its_place_and_leaves_no_thread(monkeypatch):
+    spec = net.reduced_spec(64)
+    params = net.init_params(spec, seed=79)
+    boom = RuntimeError("chunk failed")
+    chunk_probs = net._chunk_probs
+    scored, failed_on = [], []
+
+    def flaky(plan, x):
+        scored.append(len(x))
+        if len(x) == 1:  # only the fourth chunk, a helper's
+            failed_on.append(threading.current_thread())
+            raise boom
+        return chunk_probs(plan, x)
+
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
+    monkeypatch.setattr(net, "_chunk_probs", flaky)
+    _windows_per_chunk(monkeypatch, spec, np.float32, 2)
+    x = np.zeros((7,) + spec.input_shape, np.float32)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        net.predict_probs(spec, params, x)
+    assert exc.value is boom
+    # the caller scored the third chunk before it took the fourth's result
+    assert sorted(scored) == [1, 2, 2, 2]
+    assert len(failed_on) == 1 and failed_on[0] is not threading.current_thread()
+    assert threading.active_count() == before
+
+
+def test_only_the_calling_thread_enters_forward_and_forward_batch(monkeypatch):
+    """Helpers run private functions only, never the public bindings a traced
+    run swaps for span wrappers."""
+    entered = []
+    for name in ("forward", "forward_batch"):
+        original = getattr(net, name)
+
+        def spy(*args, _original=original):
+            entered.append(threading.current_thread())
+            return _original(*args)
+
+        monkeypatch.setattr(net, name, spy)
+    monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
+    spec = net.reduced_spec(64)
+    params = net.init_params(spec, seed=83)
+    _windows_per_chunk(monkeypatch, spec, np.float32, 2)
+    x = np.random.default_rng(89).standard_normal((9,) + spec.input_shape).astype(np.float32)
+    net.predict_probs(spec, params, x)
+    net.loss_and_grads(spec, params, x, np.zeros(9, int))
+    net.forward(spec, params, x[0])
+    net.forward_batch(spec, params, x)
+    assert len(entered) == 3  # forward, and forward_batch from it and alone
+    assert set(entered) == {threading.current_thread()}

@@ -2,7 +2,6 @@
 
 import hashlib
 import importlib.util
-import os
 import re
 import struct
 import sys
@@ -28,7 +27,7 @@ from anccough.pipeline import (
     train,
 )
 from anccough.synth import AnnotatedSegment, DatasetManifest, ManifestEntry
-from conftest import make_recording
+from conftest import make_recording, spy_thread_starts
 
 
 def seg(start, end, label="single_cough_sitting"):
@@ -198,15 +197,7 @@ def test_a_traced_load_on_two_threads_closes_every_span_in_order(small_dataset, 
 def test_threads_started_per_split(small_dataset, monkeypatch, cpus, started):
     """One helper at most per load, none at one CPU, none alive after."""
     root, manifest = small_dataset
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    starts = []
-    start = threading.Thread.start
-
-    def spy_start(thread):
-        starts.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    starts = spy_thread_starts(monkeypatch, cpus)
     split_by_user(manifest, SplitConfig((0,), (), ()), root, 8000)
     assert len(starts) == started
     assert not any(t.is_alive() for t in starts)

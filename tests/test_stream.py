@@ -16,7 +16,7 @@ from anccough.stream import (
     detect,
     events_to_ndjson,
 )
-from conftest import make_recording
+from conftest import make_recording, spy_thread_starts
 
 SPEC = net.reduced_spec(64)  # rate 128: fast real-model runs
 PARAMS = net.init_params(SPEC, seed=21)
@@ -154,6 +154,20 @@ def test_batched_detect_equals_the_stepper_across_chunks(gap_tolerance):
     detector = StreamingDetector(spec, params, threshold=threshold, gap_tolerance=gap_tolerance)
     events = detect(spec, params, rec, threshold=threshold, gap_tolerance=gap_tolerance)
     assert events and events == run_stream(detector, rec)
+
+
+def test_detect_starts_no_thread_at_two_cpus(monkeypatch):
+    """The wearer's path scores its chunks on the calling thread, where
+    predict_probs over the same windows starts a helper."""
+    starts = spy_thread_starts(monkeypatch, {0, 1})
+    spec = net.default_spec(8000)
+    params = net.init_params(spec, seed=15)
+    rec = toy_rec(15, duration_s=6.0)  # 12 windows: two chunks at 8 kHz
+    x = np.stack([normalize(w).data for w in slice_windows(rec)])
+    events = detect(spec, params, rec, threshold=0.0)
+    assert [e.window_count for e in events] == [12] and not starts
+    net.predict_probs(spec, params, x)
+    assert len(starts) == 1 and not starts[0].is_alive()
 
 
 def test_step_order_check_tolerance():

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from anccough.threads import THREADS_MAX, helpers, thread_count
+from conftest import spy_thread_starts
 
 
 def use_threads(monkeypatch, threads):
@@ -54,15 +55,7 @@ def test_helpers_run_helper_fn_in_place_of_fn(monkeypatch, threads):
 
 @pytest.mark.parametrize("cpus,started", [({0}, 0), ({0, 1}, 1)])
 def test_one_pool_serves_two_maps_with_one_thread_start(monkeypatch, cpus, started):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    starts = []
-    start = threading.Thread.start
-
-    def spy_start(thread):
-        starts.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    starts = spy_thread_starts(monkeypatch, cpus)
     with helpers() as ordered_map:
         assert list(ordered_map(lambda i: -i, range(5))) == [0, -1, -2, -3, -4]
         assert list(ordered_map(lambda i: 2 * i, range(5))) == [0, 2, 4, 6, 8]
