@@ -1,5 +1,7 @@
 """Metric arithmetic, invariances of the two metric pairs, resource table."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from anccough.evalkit import (
     resource_table,
 )
 from anccough.pipeline import LabeledWindow
+from anccough.dsp import slice_windows
 from anccough.profile import profile
-from conftest import make_window
+from anccough.stream import detect, events_to_ndjson
+from conftest import make_recording, make_window
 
 RESOURCE = profile(net.default_spec(8000))
 
@@ -96,6 +100,27 @@ def test_report_json_round_trip_fields():
     assert doc["resource"]["space_bytes"] == RESOURCE.space_bytes
     text = rep.to_text()
     assert "acc2" in text and "confusion" in text
+
+
+# SHA-256 of a metrics report's JSON followed by a detection NDJSON, both from
+# a reduced 8 kHz model on one seeded recording, at a threshold that yields
+# several events; moves only if a record's bytes move.
+RECORDS_DIGEST = "60c9b03e38d6bc106f7825191a8ef52c900ce87efb72f05f6d91e93d478437d7"
+
+
+def test_record_bytes_are_pinned():
+    spec = net.reduced_spec(4000)
+    params = net.init_params(spec, seed=18)
+    rec = make_recording(10.0, 8000, seed=18, scale=0.4)
+    labels = ("subject_cough", "env_cough", "other")
+    test_set = [LabeledWindow(window=w, label=labels[i % 3])
+                for i, w in enumerate(slice_windows(rec))]
+    report = evaluate(spec, params, test_set, threshold=0.833)
+    ndjson = events_to_ndjson(detect(spec, params, rec, threshold=0.833))
+    assert ndjson.count("\n") >= 3
+    h = hashlib.sha256(report.to_json().encode())
+    h.update(ndjson.encode())
+    assert h.hexdigest() == RECORDS_DIGEST
 
 
 def test_duplicate_channel():
