@@ -28,13 +28,12 @@ for entry in manifest.entries:
     if entry.environment != "env_cough":
         continue
     rec = load_recording(root / entry.wav_path)
-    data = rec.stacked()
     for seg in read_annotations(root / entry.annotation_path):
         if seg.label not in SUBJECT_COUGH_LABELS and seg.label != ENV_COUGH_LABEL:
             continue
         i0 = int(seg.start_s * rec.sample_rate_hz)
         i1 = int(seg.end_s * rec.sample_rate_hz)
-        rms = np.sqrt(np.mean(data[:, i0:i1].astype(np.float64) ** 2, axis=1))
+        rms = np.sqrt(np.mean(rec.data[:, i0:i1].astype(np.float64) ** 2, axis=1))
         print(f"{seg.label:28s} {rms[0]:9.5f} {rms[1]:9.5f}  "
               f"{20 * np.log10(rms[1] / rms[0]):+6.1f} dB (fb vs ff)")
         shown += 1

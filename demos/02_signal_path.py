@@ -20,7 +20,7 @@ bed = (2e-3 * rng.standard_normal(3 * rate)).astype(np.float32)
 audio = np.stack([bed, bed.copy()])
 cough = render_subject(synth_cough(0.4, rate, rng), rng, rate_hz=rate)
 audio[:, int(1.2 * rate):int(1.2 * rate) + cough.shape[1]] += cough
-rec = DualChannelRecording(audio[0], audio[1], rate)
+rec = DualChannelRecording(audio, rate)
 
 # 48 kHz -> 8 kHz: anti-aliased FIR decimation (Kaiser sinc, 60 dB stopband)
 rec8 = decimate(rec, 8000)

@@ -33,7 +33,7 @@ for at_s in (3.1, 9.6, 15.2):
     cough = render_subject(synth_cough(0.4, rate, rng), rng, rate_hz=rate)
     i0 = int(at_s * rate)
     audio[:, i0:i0 + cough.shape[1]] += cough
-rec = DualChannelRecording(audio[0], audio[1], rate)
+rec = DualChannelRecording(audio, rate)
 
 params = init_params(spec, seed=1)
 events = detect(spec, params, rec, threshold=0.6)

@@ -38,34 +38,28 @@ _CONSTANT_CHANNEL_STD = 1e-8
 
 @dataclass
 class DualChannelRecording:
-    """Time-aligned two-channel sample buffers with rate metadata."""
+    """Time-aligned two-channel samples with rate metadata. `data` is one
+    (2, n) float32 array, the WAV frames transposed: row 0 is the feed-forward
+    mic, row 1 the feedback mic."""
 
-    samples_ff: np.ndarray
-    samples_fb: np.ndarray
+    data: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self) -> None:
-        self.samples_ff = np.asarray(self.samples_ff, dtype=np.float32)
-        self.samples_fb = np.asarray(self.samples_fb, dtype=np.float32)
-        if self.samples_ff.ndim != 1 or self.samples_fb.ndim != 1:
-            raise ValueError("channel buffers must be one-dimensional")
-        if len(self.samples_ff) != len(self.samples_fb):
-            raise ValueError("channel buffers must have identical length")
+        self.data = np.asarray(self.data, dtype=np.float32)
+        if self.data.ndim != 2 or self.data.shape[0] != 2:
+            raise ValueError(f"recording shape {self.data.shape} is not (2, n)")
         if self.sample_rate_hz not in SUPPORTED_RATES:
             raise UnsupportedRate(f"rate {self.sample_rate_hz} not in {SUPPORTED_RATES}")
-        if not (np.isfinite(self.samples_ff).all() and np.isfinite(self.samples_fb).all()):
+        if not np.isfinite(self.data).all():
             raise NonFiniteSamples("samples must be finite")
 
     def __len__(self) -> int:
-        return len(self.samples_ff)
+        return self.data.shape[1]
 
     @property
     def duration_s(self) -> float:
-        return len(self.samples_ff) / self.sample_rate_hz
-
-    def stacked(self) -> np.ndarray:
-        """Both channels as a (2, n) array, feed-forward first."""
-        return np.stack([self.samples_ff, self.samples_fb])
+        return len(self) / self.sample_rate_hz
 
 
 @dataclass
@@ -98,18 +92,14 @@ def load_recording(path: str | Path) -> DualChannelRecording:
 
 def recording_from_frames(frames: np.ndarray, rate: int, path: str | Path) -> DualChannelRecording:
     """`load_recording` after the read: check the (frames, channels) array
-    `wavio.read_wav` returned and split it into the two channels; errors name
-    `path`."""
+    `wavio.read_wav` returned and transpose it to the two channel rows; errors
+    name `path`."""
     if frames.shape[1] != 2:
         raise NotStereo(f"{path}: {frames.shape[1]} channels, need 2")
     if rate not in SUPPORTED_RATES:
         raise UnsupportedRate(f"{path}: rate {rate} not in {SUPPORTED_RATES}")
     try:
-        return DualChannelRecording(
-            samples_ff=frames[:, 0],
-            samples_fb=frames[:, 1],
-            sample_rate_hz=rate,
-        )
+        return DualChannelRecording(frames.T, rate)
     except NonFiniteSamples:
         frame = int(np.argmin(np.isfinite(frames).all(axis=1)))
         raise NonFiniteSamples(f"{path}: frame {frame} holds a non-finite sample") from None
@@ -117,7 +107,7 @@ def recording_from_frames(frames: np.ndarray, rate: int, path: str | Path) -> Du
 
 def save_recording(rec: DualChannelRecording, path: str | Path, encoding: str = "int16") -> None:
     """Write a recording as a stereo WAV file (feed-forward = channel 0)."""
-    wavio.write_wav(path, rec.stacked().T, rec.sample_rate_hz, encoding=encoding)
+    wavio.write_wav(path, rec.data.T, rec.sample_rate_hz, encoding=encoding)
 
 
 def design_decimation_taps(factor: int) -> np.ndarray:
@@ -186,8 +176,7 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
         )
     factor = rec.sample_rate_hz // target_rate_hz
     if factor == 1:
-        return DualChannelRecording(rec.samples_ff.copy(), rec.samples_fb.copy(),
-                                    rec.sample_rate_hz)
+        return DualChannelRecording(rec.data.copy(), rec.sample_rate_hz)
     spectra, sub_len, lead = _polyphase_filter(factor)
     hop = _DECIMATE_FFT_LEN - (sub_len - 1)  # outputs per block
     n, out_len = len(rec), len(rec) // factor
@@ -204,27 +193,25 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
         seg = segment[:, :rows * factor]
         if lo > start or hi < stop:
             seg.fill(0.0)
-        seg[0, lo - start:hi - start] = rec.samples_ff[lo:hi]
-        seg[1, lo - start:hi - start] = rec.samples_fb[lo:hi]
+        seg[:, lo - start:hi - start] = rec.data[:, lo:hi]
         phases = seg.reshape(2, rows, factor).transpose(0, 2, 1)
         blocks = sliding_window_view(phases, _DECIMATE_FFT_LEN, axis=-1)[:, :, ::hop]
         spectrum = fft.rfft(blocks, axis=-1)  # (2, factor, n_blocks, FFT_LEN // 2 + 1)
         spectrum *= spectra
         filtered = fft.irfft(spectrum.sum(axis=1), _DECIMATE_FFT_LEN, axis=-1)[..., sub_len - 1:]
         out[:, m0:m0 + count] = filtered.reshape(2, -1)[:, :count]
-    return DualChannelRecording(out[0], out[1], target_rate_hz)
+    return DualChannelRecording(out, target_rate_hz)
 
 
 def slice_windows(rec: DualChannelRecording) -> list[DualChannelWindow]:
     """Cut a recording into back-to-back 0.5 s windows; a short trailing
     remainder is dropped."""
     length = rec.sample_rate_hz // 2
-    data = rec.stacked()
     windows = []
     for start in range(0, len(rec) - length + 1, length):
         windows.append(
             DualChannelWindow(
-                data=data[:, start:start + length].copy(),
+                data=rec.data[:, start:start + length].copy(),
                 sample_rate_hz=rec.sample_rate_hz,
                 start_s=start / rec.sample_rate_hz,
             )

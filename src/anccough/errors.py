@@ -98,6 +98,10 @@ class OverlappingUserSets(AnccoughError):
     """A user id appears in more than one split."""
 
 
+class InvalidSplit(AnccoughError, ValueError):
+    """A split needs more users than the manifest holds, or names one it lacks."""
+
+
 class SingleClassTrainingSet(AnccoughError):
     """Training set does not contain both classes."""
 

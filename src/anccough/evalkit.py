@@ -10,7 +10,7 @@ predicted "other" counts as a correct rejection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -38,22 +38,7 @@ class MetricsReport:
     resource: ResourceProfile
 
     def to_json(self) -> str:
-        doc = {
-            "confusion": [list(r) for r in self.confusion],
-            "acc1": self.acc1,
-            "f1_1": self.f1_1,
-            "confusion_cough_only": [list(r) for r in self.confusion_cough_only],
-            "acc2": self.acc2,
-            "f1_2": self.f1_2,
-            "resource": {
-                "flops": self.resource.flops,
-                "param_count": self.resource.param_count,
-                "param_bytes": self.resource.param_bytes,
-                "peak_activation_bytes": self.resource.peak_activation_bytes,
-                "space_bytes": self.resource.space_bytes,
-            },
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         (tp, fn), (fp, tn) = self.confusion

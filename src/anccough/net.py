@@ -587,6 +587,10 @@ def loss_and_grads(
     to two threads; the dense head, the loss and every sum over the batch run
     on the calling thread over the whole batch.
     """
+    _check_batch_shape(spec, x)
+    for name, values in (("labels", labels), ("sample_weight", sample_weight)):
+        if values is not None and len(values) != len(x):
+            raise ShapeMismatch(f"{len(values)} {name} for a batch of {len(x)}")
     x = x.astype(params[0].dtype)
     plan = list(_layer_plan(spec, params))
     head_at = next(i for i, (layer, _, _) in enumerate(plan) if isinstance(layer, Dense))

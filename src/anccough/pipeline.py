@@ -25,7 +25,7 @@ from .dsp import (
     recording_from_frames,
     slice_windows,
 )
-from .errors import NonFiniteLoss, OverlappingUserSets, SingleClassTrainingSet
+from .errors import InvalidSplit, NonFiniteLoss, OverlappingUserSets, SingleClassTrainingSet
 from .synth import (
     ENV_COUGH_LABEL,
     SUBJECT_COUGH_LABELS,
@@ -78,7 +78,7 @@ def default_split(user_ids: list[int]) -> SplitConfig:
     users = sorted(user_ids)
     n = len(users)
     if n < 3:
-        raise ValueError("need at least 3 users for a train/val/test split")
+        raise InvalidSplit("need at least 3 users for a train/val/test split")
     if n == 10:
         n_train, n_val = 6, 2
     else:
@@ -183,10 +183,10 @@ def load_labeled_windows(
 
 
 def check_split_users(manifest: DatasetManifest, config: SplitConfig) -> None:
-    """Raise ValueError if the split names a user the manifest does not hold."""
+    """Raise InvalidSplit if the split names a user the manifest does not hold."""
     missing = config.users - set(manifest.user_ids())
     if missing:
-        raise ValueError(f"split names users absent from the manifest: {sorted(missing)}")
+        raise InvalidSplit(f"split names users absent from the manifest: {sorted(missing)}")
 
 
 def split_by_user(

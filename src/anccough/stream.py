@@ -12,7 +12,7 @@ size regardless of stream length.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,15 +31,7 @@ class DetectionEvent:
     window_count: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "start_s": self.start_s,
-                "end_s": self.end_s,
-                "mean_confidence": self.mean_confidence,
-                "window_count": self.window_count,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def events_to_ndjson(events: list[DetectionEvent]) -> str:

@@ -14,9 +14,10 @@ configurable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -660,21 +661,8 @@ def read_annotations(path: str | Path) -> list[AnnotatedSegment]:
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    doc = {
-        "format_version": manifest.format_version,
-        "seed": manifest.seed,
-        "entries": [
-            {
-                "wav_path": e.wav_path,
-                "annotation_path": e.annotation_path,
-                "user_id": e.user_id,
-                "environment": e.environment,
-                "posture": e.posture,
-            }
-            for e in manifest.entries
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _field(doc: dict, key: str, kind: type, where: str):
@@ -699,18 +687,14 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise MalformedDatasetFile(f"{path}: unknown format_version {version} "
                                    f"(want {MANIFEST_FORMAT_VERSION})")
     seed = _field(doc, "seed", int, str(path))
+    kinds = get_type_hints(ManifestEntry)  # field -> type, in declaration order
     entries = []
     for i, e in enumerate(_field(doc, "entries", list, str(path))):
         where = f"{path}: entries[{i}]"
         if not isinstance(e, dict):
             raise MalformedDatasetFile(f"{where} is {type(e).__name__}, want object")
-        entries.append(ManifestEntry(
-            wav_path=_field(e, "wav_path", str, where),
-            annotation_path=_field(e, "annotation_path", str, where),
-            user_id=_field(e, "user_id", int, where),
-            environment=_field(e, "environment", str, where),
-            posture=_field(e, "posture", str, where),
-        ))
+        entries.append(ManifestEntry(**{
+            name: _field(e, name, kind, where) for name, kind in kinds.items()}))
     return DatasetManifest(entries=tuple(entries), seed=seed, format_version=version)
 
 

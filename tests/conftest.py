@@ -54,18 +54,14 @@ def make_recording(duration_s: float, rate_hz: int = 8000, seed: int = 0,
                    scale: float = 0.3) -> DualChannelRecording:
     rng = np.random.default_rng(seed)
     n = round(duration_s * rate_hz)
-    return DualChannelRecording(
-        samples_ff=(scale * rng.standard_normal(n)).astype(np.float32),
-        samples_fb=(scale * rng.standard_normal(n)).astype(np.float32),
-        sample_rate_hz=rate_hz,
-    )
+    return DualChannelRecording((scale * rng.standard_normal((2, n))).astype(np.float32), rate_hz)
 
 
 def sine_recording(freq_hz: float, rate_hz: int, duration_s: float = 1.0,
                    amp: float = 0.5) -> DualChannelRecording:
     t = np.arange(round(rate_hz * duration_s)) / rate_hz
     x = (amp * np.sin(2 * np.pi * freq_hz * t)).astype(np.float32)
-    return DualChannelRecording(x, x.copy(), rate_hz)
+    return DualChannelRecording(np.stack([x, x]), rate_hz)
 
 
 @pytest.fixture(scope="session")

@@ -198,7 +198,7 @@ def test_extra_detect_counts_injected_coughs(study):
         audio[:, i0:i0 + cough.shape[1]] += cough
         marks.append((at_s, at_s + dur))
     audio += rng.normal(0.0, 2.5e-4, size=audio.shape).astype(np.float32)
-    rec = DualChannelRecording(audio[0], audio[1], rate)
+    rec = DualChannelRecording(audio, rate)
     rec8 = decimate(rec, 8000)
     events = stream.detect(study["spec"], study["params"], rec8, threshold=0.5)
     overlap_ok = all(
@@ -218,11 +218,7 @@ def test_criterion_06_batch_stream_equivalence():
     mismatches = 0
     for case in range(100):
         n = int(rng.integers(2 * 4000, 8 * 4000))
-        rec = DualChannelRecording(
-            (0.4 * rng.standard_normal(n)).astype(np.float32),
-            (0.4 * rng.standard_normal(n)).astype(np.float32),
-            8000,
-        )
+        rec = DualChannelRecording((0.4 * rng.standard_normal((2, n))).astype(np.float32), 8000)
         batch = stream.detect(spec, params, rec)
         state = detector.new_state()
         streamed = []
@@ -243,23 +239,22 @@ def test_criterion_07_dsp_oracles():
     t = np.arange(48000) / 48000.0
     tone = lambda f: (0.5 * np.sin(2 * np.pi * f * t)).astype(np.float32)
 
-    rec1k = DualChannelRecording(tone(1000), tone(1000), 48000)
+    rec1k = DualChannelRecording(np.stack([tone(1000)] * 2), 48000)
     out = decimate(rec1k, 8000)
-    mid = out.samples_ff[800:4800].astype(np.float64)
+    mid = out.data[0, 800:4800].astype(np.float64)
     spectrum = np.abs(np.fft.rfft(mid))
     amp = 2 * spectrum.max() / len(mid)
     tone_ok = abs(amp - 0.5) / 0.5 < 0.01
 
-    rec5k = DualChannelRecording(tone(5000), tone(5000), 48000)
+    rec5k = DualChannelRecording(np.stack([tone(5000)] * 2), 48000)
     out5 = decimate(rec5k, 8000)
-    mid5 = out5.samples_ff[800:4800].astype(np.float64)
+    mid5 = out5.data[0, 800:4800].astype(np.float64)
     atten_db = 10 * np.log10((0.5**2 / 2) / max(np.mean(mid5**2), 1e-30))
     alias_ok = atten_db >= 40.0
 
     rng = np.random.default_rng(7)
     win = slice_windows(DualChannelRecording(
-        (0.3 * rng.standard_normal(8000)).astype(np.float32),
-        (0.3 * rng.standard_normal(8000)).astype(np.float32), 8000))[0]
+        (0.3 * rng.standard_normal((2, 8000))).astype(np.float32), 8000))[0]
     n1 = normalize(win)
     n2 = normalize(n1)
     idem = float(np.abs(n2.data - n1.data).max())
@@ -345,8 +340,7 @@ def test_criterion_09_serialization(tmp_path):
 
 def test_criterion_10_labeling_rule():
     rng = np.random.default_rng(10)
-    rec = DualChannelRecording(
-        np.zeros(8 * 8000, np.float32), np.zeros(8 * 8000, np.float32), 8000)
+    rec = DualChannelRecording(np.zeros((2, 8 * 8000), np.float32), 8000)
     labels = ["single_cough_sitting", "continuous_cough_sitting",
               "single_cough_walking", "continuous_cough_walking",
               "environmental_cough", "laughing", "reading", "walking"]

@@ -405,3 +405,21 @@ def test_malformed_annotation_line_is_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {bad}: line 2: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    ([], "need at least 3 users for a train/val/test split"),
+    (["--train-users", "0", "--val-users", "1", "--test-users", "5"],
+     "split names users absent from the manifest: [5]"),
+], ids=["two-users", "absent-user"])
+def test_a_split_the_manifest_cannot_fill_is_exit_one(tmp_path, capsys, flags, message):
+    from anccough.synth import DatasetManifest, ManifestEntry, write_manifest
+
+    entries = tuple(ManifestEntry(f"u{u}.wav", f"u{u}.tsv", u, "quiet", "sitting")
+                    for u in (0, 1))
+    write_manifest(DatasetManifest(entries, seed=0), tmp_path / "manifest.json")
+    code = main(["train", "--manifest", str(tmp_path / "manifest.json"),
+                 "--out", str(tmp_path / "m.ecn1"), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {message}\n"

@@ -45,18 +45,13 @@ def tone_amplitude(x: np.ndarray, rate_hz: int, freq_hz: float) -> float:
 
 def test_wav_int16_round_trip(tmp_path):
     raw = make_recording(0.75, 48000, seed=1)
-    rec = DualChannelRecording(
-        np.clip(raw.samples_ff, -0.99, 0.99),
-        np.clip(raw.samples_fb, -0.99, 0.99),
-        raw.sample_rate_hz,
-    )
+    rec = DualChannelRecording(np.clip(raw.data, -0.99, 0.99), raw.sample_rate_hz)
     path = tmp_path / "x.wav"
     save_recording(rec, path)
     back = load_recording(path)
     assert back.sample_rate_hz == 48000
     assert len(back) == len(rec)
-    assert np.abs(back.samples_ff - rec.samples_ff).max() < 1.0 / 32768
-    assert np.abs(back.samples_fb - rec.samples_fb).max() < 1.0 / 32768
+    assert np.abs(back.data - rec.data).max() < 1.0 / 32768
 
 
 def test_wav_float32_round_trip_exact(tmp_path):
@@ -64,8 +59,7 @@ def test_wav_float32_round_trip_exact(tmp_path):
     path = tmp_path / "x.wav"
     save_recording(rec, path, encoding="float32")
     back = load_recording(path)
-    assert np.array_equal(back.samples_ff, rec.samples_ff)
-    assert np.array_equal(back.samples_fb, rec.samples_fb)
+    assert np.array_equal(back.data, rec.data)
 
 
 def test_wav_full_scale_negative_maps_to_minus_one(tmp_path):
@@ -76,8 +70,7 @@ def test_wav_full_scale_negative_maps_to_minus_one(tmp_path):
     header += b"data" + struct.pack("<I", len(payload))
     path.write_bytes(header + payload)
     rec = load_recording(path)
-    assert np.all(rec.samples_ff == -1.0)
-    assert np.all(rec.samples_fb == -1.0)
+    assert rec.data.shape == (2, 32) and np.all(rec.data == -1.0)
 
 
 def test_wav_mono_rejected(tmp_path):
@@ -163,8 +156,7 @@ def test_read_wav_output_is_unchanged(tmp_path):
 def test_decimate_factor_one_is_bit_identical():
     rec = make_recording(0.5, 8000, seed=3)
     out = decimate(rec, 8000)
-    assert np.array_equal(out.samples_ff, rec.samples_ff)
-    assert np.array_equal(out.samples_fb, rec.samples_fb)
+    assert np.array_equal(out.data, rec.data)
 
 
 def test_decimate_non_integer_factor_rejected():
@@ -176,7 +168,7 @@ def test_decimate_non_integer_factor_rejected():
 def test_decimate_preserves_in_band_tone():
     rec = sine_recording(1000, 48000, duration_s=1.0, amp=0.5)
     out = decimate(rec, 8000)
-    mid = out.samples_ff[800:4800]  # steady state, away from edges
+    mid = out.data[0, 800:4800]  # steady state, away from edges
     amp = tone_amplitude(mid, 8000, 1000)
     assert abs(amp - 0.5) / 0.5 < 0.01
 
@@ -184,7 +176,7 @@ def test_decimate_preserves_in_band_tone():
 def test_decimate_attenuates_alias():
     rec = sine_recording(5000, 48000, duration_s=1.0, amp=0.5)
     out = decimate(rec, 8000)
-    mid = out.samples_ff[800:4800].astype(np.float64)
+    mid = out.data[0, 800:4800].astype(np.float64)
     in_energy = 0.5**2 / 2  # mean square of the input tone
     out_energy = np.mean(mid**2)
     assert 10 * np.log10(in_energy / max(out_energy, 1e-30)) >= 40
@@ -194,13 +186,9 @@ def test_decimate_is_linear():
     a, b = 0.7, -1.3
     x = make_recording(1.0, 48000, seed=4)
     y = make_recording(1.0, 48000, seed=5)
-    mixed = DualChannelRecording(
-        a * x.samples_ff + b * y.samples_ff,
-        a * x.samples_fb + b * y.samples_fb,
-        48000,
-    )
-    lhs = decimate(mixed, 8000).samples_ff
-    rhs = a * decimate(x, 8000).samples_ff + b * decimate(y, 8000).samples_ff
+    mixed = DualChannelRecording(a * x.data + b * y.data, 48000)
+    lhs = decimate(mixed, 8000).data
+    rhs = a * decimate(x, 8000).data + b * decimate(y, 8000).data
     assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-5
 
 
@@ -220,7 +208,7 @@ def _decimate_inputs(src, dst):
     for i, n in enumerate((97, 431, 4999, 5 * src + 7)):
         rng = np.random.default_rng(1000 * i + src // 1000 + dst // 1000)
         x = (0.3 * rng.standard_normal((2, n))).astype(np.float32)
-        yield DualChannelRecording(x[0], x[1], src)
+        yield DualChannelRecording(x, src)
 
 
 def _decimate_digest(src, dst) -> str:
@@ -228,8 +216,8 @@ def _decimate_digest(src, dst) -> str:
     for rec in _decimate_inputs(src, dst):
         out = decimate(rec, dst)
         h.update(f"{out.sample_rate_hz}:{len(out)}".encode())
-        h.update(out.samples_ff.tobytes())
-        h.update(out.samples_fb.tobytes())
+        h.update(out.data[0].tobytes())
+        h.update(out.data[1].tobytes())
     return h.hexdigest()
 
 
@@ -259,7 +247,7 @@ def _level_jump_inputs(src, dst):
     for n in (300, 4401, 3 * src + 5):
         level = np.repeat(10.0 ** rng.uniform(-5, 0, (2, n // 480 + 1)), 480, axis=1)[:, :n]
         x = (level * rng.standard_normal((2, n))).astype(np.float32)
-        yield DualChannelRecording(x[0], x[1], src)
+        yield DualChannelRecording(x, src)
 
 
 @pytest.mark.parametrize("src,dst", RATE_PAIRS)
@@ -272,7 +260,7 @@ def test_decimate_matches_direct_convolution(src, dst):
     for rec in itertools.chain(_decimate_inputs(src, dst), _level_jump_inputs(src, dst)):
         out = decimate(rec, dst)
         n = len(rec)
-        for got, x in ((out.samples_ff, rec.samples_ff), (out.samples_fb, rec.samples_fb)):
+        for got, x in zip(out.data, rec.data):
             same = np.convolve(x.astype(np.float64), taps)[centre:centre + n]
             want = same[::factor][:n // factor]
             assert got.dtype == np.float32 and got.shape == want.shape
@@ -288,7 +276,7 @@ def test_decimate_memory_is_a_fraction_of_the_input():
     62 s of 48 kHz stereo stays within 1.25x the input's float64 size."""
     rng = np.random.default_rng(12)
     frames = (0.3 * rng.standard_normal((62 * 48000, 2))).astype(np.float32)
-    rec = DualChannelRecording(frames[:, 0], frames[:, 1], 48000)
+    rec = DualChannelRecording(frames.T, 48000)
     tracemalloc.start()
     try:
         out = decimate(rec, 8000)
@@ -312,7 +300,7 @@ def test_slice_preserves_sample_identity():
     rec = make_recording(2.3, 8000, seed=7)
     wins = slice_windows(rec)
     joined = np.concatenate([w.data for w in wins], axis=1)
-    assert np.array_equal(joined, rec.stacked()[:, : joined.shape[1]])
+    assert np.array_equal(joined, rec.data[:, : joined.shape[1]])
 
 
 # --- normalization ---
@@ -367,13 +355,14 @@ def test_normalize_matches_separate_mean_and_std_bits():
 
 def test_recording_non_finite_is_typed():
     with pytest.raises(NonFiniteSamples):
-        DualChannelRecording(np.zeros(4, np.float32), np.array([0, 0, np.inf, 0], np.float32), 8000)
+        DualChannelRecording(np.array([[0, 0, 0, 0], [0, 0, np.inf, 0]], np.float32), 8000)
 
 
 def test_recording_validation():
-    with pytest.raises(ValueError):
-        DualChannelRecording(np.zeros(10, np.float32), np.zeros(9, np.float32), 8000)
+    for shape in ((10,), (10, 2), (3, 10), (2, 5, 2)):
+        with pytest.raises(ValueError):
+            DualChannelRecording(np.zeros(shape, np.float32), 8000)
     with pytest.raises(UnsupportedRate):
-        DualChannelRecording(np.zeros(10, np.float32), np.zeros(10, np.float32), 44100)
+        DualChannelRecording(np.zeros((2, 10), np.float32), 44100)
     with pytest.raises(ValueError):
-        DualChannelRecording(np.array([np.nan], np.float32), np.zeros(1, np.float32), 8000)
+        DualChannelRecording(np.array([[np.nan], [0]], np.float32), 8000)

@@ -142,7 +142,7 @@ def test_read_wav_and_load_recording_parse_or_raise(tmp_path_factory, data):
     rec = _reads(path, data, load_recording)
     if rec is not None:
         assert isinstance(rec, DualChannelRecording) and rec.sample_rate_hz in SUPPORTED_RATES
-        assert np.isfinite(rec.stacked()).all()
+        assert np.isfinite(rec.data).all()
 
 
 # --- model files ---

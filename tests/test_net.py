@@ -207,6 +207,22 @@ def test_final_bias_gradient_at_zero_params():
     assert np.allclose(grads[-1], [0.5, -0.5])
 
 
+def test_loss_and_grads_reject_a_batch_that_does_not_fit():
+    """Windows at another rate, or labels or weights of another length than
+    the batch, raise before any work."""
+    spec = net.default_spec(8000)
+    params = net.init_params(spec, seed=0)
+    x = np.zeros((4,) + spec.input_shape, np.float32)
+    labels = np.zeros(4, int)
+    with pytest.raises(ShapeMismatch, match="batch shape"):
+        net.loss_and_grads(spec, params, np.zeros((4, 2, 8000), np.float32), labels)
+    for bad in (labels[:1], np.zeros(5, int)):
+        with pytest.raises(ShapeMismatch, match="labels for a batch of 4"):
+            net.loss_and_grads(spec, params, x, bad)
+    with pytest.raises(ShapeMismatch, match="3 sample_weight for a batch of 4"):
+        net.loss_and_grads(spec, params, x, labels, np.ones(3))
+
+
 # --- per-layer finite differences ---
 
 def _fd_on(x, loss_fn, grad, eps=1e-6, probes=50, seed=0):

@@ -14,7 +14,14 @@ import pytest
 
 from anccough import net, pipeline, wavio
 from anccough.dsp import DualChannelWindow
-from anccough.errors import MalformedHeader, OverlappingUserSets, SingleClassTrainingSet
+from anccough.errors import (
+    InvalidSplit,
+    MalformedHeader,
+    NonFiniteLoss,
+    OverlappingUserSets,
+    ShapeMismatch,
+    SingleClassTrainingSet,
+)
 from anccough.evalkit import evaluate
 from anccough.pipeline import (
     OVERLAP_THRESHOLD_S,
@@ -124,8 +131,14 @@ def test_split_by_user_partitions(small_dataset):
 
 def test_split_by_user_unknown_user(small_dataset):
     root, manifest = small_dataset
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSplit, match=r"absent from the manifest: \[5\]"):
         split_by_user(manifest, SplitConfig((0,), (1,), (5,)), root, 8000)
+
+
+def test_default_split_of_two_users_is_typed():
+    with pytest.raises(InvalidSplit, match="need at least 3 users") as exc:
+        default_split([0, 1])
+    assert isinstance(exc.value, ValueError)
 
 
 # SHA-256 of split_by_user over the small dataset, by target rate (see
@@ -272,6 +285,27 @@ def test_train_single_class_rejected():
     cfg = TrainConfig(epochs_max=2, seed=0)
     with pytest.raises(SingleClassTrainingSet):
         train(data, data, spec, cfg)
+
+
+def test_train_on_windows_at_another_rate_fails_before_its_first_step(monkeypatch):
+    spec = net.reduced_spec(64)  # 128 Hz windows
+    data = toy_set(4, rate=256)
+    steps = []
+    monkeypatch.setattr(pipeline._Optimizer, "step", lambda self, *a: steps.append(a))
+    with pytest.raises(ShapeMismatch):
+        train(data, data, spec, TrainConfig(epochs_max=2, seed=0))
+    assert steps == []
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_a_diverging_loss_is_typed(optimizer):
+    spec = net.reduced_spec(64)
+    data = toy_set(8, seed=8)
+    cfg = TrainConfig(epochs_max=3, batch_size=4, learning_rate=1e30, optimizer=optimizer,
+                      seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLoss, match="at epoch 1$"):
+            train(data, data, spec, cfg)
 
 
 def test_train_patience_stops_early():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anccough import net
-from anccough.dsp import DualChannelRecording, DualChannelWindow, normalize, slice_windows
+from anccough.dsp import DualChannelWindow, normalize, slice_windows
 from anccough.errors import OutOfOrderWindow, RateMismatch
 from anccough.stream import (
     DetectorState,
@@ -33,16 +33,6 @@ def run_stream(detector, rec):
     if event:
         events.append(event)
     return events
-
-
-def small_rec(seed, duration_s=6.0):
-    rng = np.random.default_rng(seed)
-    n = round(duration_s * 128)
-    return DualChannelRecording(
-        (0.4 * rng.standard_normal(n)).astype(np.float32),
-        (0.4 * rng.standard_normal(n)).astype(np.float32),
-        sample_rate_hz=128 if 128 in (8000, 16000, 24000, 48000) else 8000,
-    )
 
 
 def toy_rec(seed, duration_s=6.0, rate=8000):

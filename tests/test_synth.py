@@ -249,11 +249,10 @@ def test_dataset_channel_separability(small_dataset):
     n_subj = n_env = 0
     for e in manifest.entries:
         rec = load_recording(root / e.wav_path)
-        data = rec.stacked()
         for s in read_annotations(root / e.annotation_path):
             i0 = int(s.start_s * rec.sample_rate_hz)
             i1 = int(s.end_s * rec.sample_rate_hz)
-            level = np.sqrt(np.mean(data[:, i0:i1].astype(np.float64) ** 2, axis=1))
+            level = np.sqrt(np.mean(rec.data[:, i0:i1].astype(np.float64) ** 2, axis=1))
             if s.label in SUBJECT_COUGH_LABELS:
                 n_subj += 1
                 assert level[1] >= level[0]
@@ -269,7 +268,7 @@ def test_dataset_cough_energy_over_background(small_dataset):
     for e in manifest.entries:
         rec = load_recording(root / e.wav_path)
         rate = rec.sample_rate_hz
-        ff = rec.samples_ff.astype(np.float64)
+        ff = rec.data[0].astype(np.float64)
         anns = read_annotations(root / e.annotation_path)
         for s in anns:
             if s.label not in SUBJECT_COUGH_LABELS and s.label != ENV_COUGH_LABEL:
