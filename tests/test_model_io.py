@@ -1,5 +1,6 @@
 """Model file format tests: bit-exact round trip and corruption rejection."""
 
+import hashlib
 import struct
 import zlib
 
@@ -172,3 +173,19 @@ def test_param_count_equals_serialized_lengths(saved):
     from anccough.profile import profile
 
     assert profile(spec).param_count == sum(p.size for p in params)
+
+
+# SHA-256 over the saved bytes of the default spec at each supported rate and
+# of the reduced spec, each with init_params at seed i (its place in that
+# list); moves only if the layer table, weight layout or CRC bytes move.
+ECN1_DIGEST = "49850fe571c853da94d78363b1a0d9ea52d09219d8df2ac500ac5249f9218124"
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    specs = [net.default_spec(rate) for rate in (8000, 16000, 24000, 48000)]
+    h = hashlib.sha256()
+    for seed, spec in enumerate(specs + [net.reduced_spec(64)]):
+        path = tmp_path / f"{seed}.ecn1"
+        save_model(spec, net.init_params(spec, seed=seed), path)
+        h.update(path.read_bytes())
+    assert h.hexdigest() == ECN1_DIGEST

@@ -1,5 +1,7 @@
 """Resource accounting tests against the published per-rate budgets."""
 
+from dataclasses import astuple
+
 import numpy as np
 
 from anccough import net
@@ -78,3 +80,22 @@ def test_resource_table_csv_shape():
     lines = text.strip().splitlines()
     assert lines[0] == "rate_khz,flops_m,space_kb"
     assert len(lines) == 5
+
+
+# exact (flops, param_count, param_bytes, peak_activation_bytes, space_bytes)
+PINNED = {
+    8000: (13243072, 32098, 128392, 224000, 352392),
+    16000: (26483008, 32098, 128392, 448000, 576392),
+    24000: (39722944, 32098, 128392, 672000, 800392),
+    48000: (79475008, 32098, 128392, 1344000, 1472392),
+}
+PINNED_REDUCED_64 = (26016, 1354, 5416, 1536, 6952)
+PINNED_CSV = ("rate_khz,flops_m,space_kb\n8,13.24,352.4\n16,26.48,576.4\n"
+              "24,39.72,800.4\n48,79.48,1472.4\n")
+
+
+def test_profiles_and_resource_table_are_pinned():
+    for rate, fields in PINNED.items():
+        assert astuple(profile(net.default_spec(rate))) == fields
+    assert astuple(profile(net.reduced_spec(64))) == PINNED_REDUCED_64
+    assert resource_table_csv() == PINNED_CSV
