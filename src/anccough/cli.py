@@ -32,11 +32,8 @@ def _write_run_config(path: Path, command: str, values: dict) -> None:
 
 
 def _split_from_args(args, manifest) -> pipeline.SplitConfig:
-    train_u, val_u, test_u = args.train_users, args.val_users, args.test_users
-    if train_u or val_u or test_u:
-        if not (train_u and val_u and test_u):
-            raise AnccoughError("provide all three of --train-users/--val-users/--test-users")
-        return pipeline.SplitConfig(train_u, val_u, test_u)
+    if args.train_users:  # main made sure all three or none are given
+        return pipeline.SplitConfig(args.train_users, args.val_users, args.test_users)
     return pipeline.default_split(manifest.user_ids())
 
 
@@ -361,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
+    split = [getattr(args, f"{name}_users", ()) for name in ("train", "val", "test")]
+    if any(split) and not all(split):
+        parser.error("provide all three of --train-users/--val-users/--test-users")
     try:
         return args.func(args)
     except (AnccoughError, OSError, ValueError) as exc:

@@ -102,6 +102,11 @@ class InvalidSplit(AnccoughError, ValueError):
     """A split needs more users than the manifest holds, or names one it lacks."""
 
 
+class InvalidTrainConfig(AnccoughError, ValueError):
+    """A training setting is out of range: an epoch, patience or batch count
+    below 1, or an unknown optimizer."""
+
+
 class SingleClassTrainingSet(AnccoughError):
     """Training set does not contain both classes."""
 

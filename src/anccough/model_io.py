@@ -11,8 +11,8 @@ Layout, all little-endian:
     arrays    raw float32 weight/bias data in spec traversal order
     crc       u32      CRC-32 of everything above
 
-Layer kinds: 1 conv2d (p = kernel_w, out_channels, stride), 2 conv1d
-(kernel, out_channels, stride), 3 maxpool (width), 4 global average pool,
+Layer kinds (the `_KINDS` table): 1 conv2d (p = kernel, out_channels, stride),
+2 conv1d (kernel, out_channels, stride), 3 maxpool (width), 4 global average pool,
 5 dense (out_features). Array shapes are derived from the layer table, so the
 weight region carries no per-array headers. A full description lives in
 docs/model-format.md.
@@ -42,42 +42,31 @@ from .net import (
 MAGIC = b"ECN1"
 FORMAT_VERSION = 1
 
-_KIND_CONV2D = 1
-_KIND_CONV1D = 2
-_KIND_MAXPOOL = 3
-_KIND_GAP = 4
-_KIND_DENSE = 5
+# ECN1 layer kind code -> (layer class, the fields stored as p0, p1, p2); a
+# field not stored is written as 0
+_KINDS = {
+    1: (Conv2d, ("kernel", "out_channels", "stride")),
+    2: (Conv1d, ("kernel", "out_channels", "stride")),
+    3: (MaxPool, ("width",)),
+    4: (GlobalAvgPool, ()),
+    5: (Dense, ("out_features",)),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 _LAYER_STRUCT = struct.Struct("<BIII")
 _HEADER_STRUCT = struct.Struct("<4sHHII")
 
 
 def _layer_record(layer) -> tuple[int, int, int, int]:
-    if isinstance(layer, Conv2d):
-        return _KIND_CONV2D, layer.kernel[1], layer.out_channels, layer.stride
-    if isinstance(layer, Conv1d):
-        return _KIND_CONV1D, layer.kernel, layer.out_channels, layer.stride
-    if isinstance(layer, MaxPool):
-        return _KIND_MAXPOOL, layer.width, 0, 0
-    if isinstance(layer, GlobalAvgPool):
-        return _KIND_GAP, 0, 0, 0
-    if isinstance(layer, Dense):
-        return _KIND_DENSE, layer.out_features, 0, 0
-    raise ValueError(f"unknown layer {layer!r}")
+    kind = _KIND_OF[type(layer)]
+    return (kind, *(getattr(layer, name) for name in _KINDS[kind][1]), 0, 0, 0)[:4]
 
 
 def _layer_from_record(kind: int, p0: int, p1: int, p2: int):
-    if kind == _KIND_CONV2D:
-        return Conv2d(out_channels=p1, kernel=(2, p0), stride=p2)
-    if kind == _KIND_CONV1D:
-        return Conv1d(out_channels=p1, kernel=p0, stride=p2)
-    if kind == _KIND_MAXPOOL:
-        return MaxPool(width=p0)
-    if kind == _KIND_GAP:
-        return GlobalAvgPool()
-    if kind == _KIND_DENSE:
-        return Dense(out_features=p0)
-    raise InvalidSpec(f"unknown layer kind {kind}")
+    if kind not in _KINDS:
+        raise InvalidSpec(f"unknown layer kind {kind}")
+    cls, names = _KINDS[kind]
+    return cls(**dict(zip(names, (p0, p1, p2))))
 
 
 def save_model(spec: ModelSpec, params: list[np.ndarray], path: str | Path) -> None:

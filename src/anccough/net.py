@@ -2,9 +2,9 @@
 
 The reference detector is four convolution blocks followed by three fully
 connected layers. Block one opens with the only 2-D convolution, whose kernel
-spans both microphone channels; everything after it is 1-D. A rectifier
-follows every convolution and every hidden dense layer; the two-way output is
-read through a softmax.
+spans both mic rows, so it runs as a 1-D one over the rows as input channels.
+A rectifier follows every convolution and every hidden dense layer; the
+two-way output is read through a softmax.
 
 All math runs in the dtype of the supplied parameters: float32 in production,
 float64 when tests need finite-difference-grade precision.
@@ -27,6 +27,7 @@ about a quarter slower on a 2-vCPU host.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,19 +49,18 @@ CHUNK_BYTES = 3 << 18
 
 
 @dataclass(frozen=True)
-class Conv2d:
-    """2-D convolution over (mic channel, time); kernel height 2 eats both rows."""
-
-    out_channels: int
-    kernel: tuple[int, int] = (2, 9)
-    stride: int = 2
-
-
-@dataclass(frozen=True)
 class Conv1d:
     out_channels: int
     kernel: int = 9
     stride: int = 1
+
+
+@dataclass(frozen=True)
+class Conv2d(Conv1d):
+    """The first convolution: its kernel spans both mic rows and `kernel`
+    samples of time, which is a Conv1d over the two rows as input channels."""
+
+    stride: int = 2
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,11 @@ class Dense:
     out_features: int
 
 
-LayerSpec = Conv2d | Conv1d | MaxPool | GlobalAvgPool | Dense
+LayerSpec = Conv1d | MaxPool | GlobalAvgPool | Dense
+
+# The fixed topology, over the layers' class names joined by spaces.
+_TOPOLOGY = re.compile(
+    r"Conv2d( Conv1d)* MaxPool(( Conv1d)+ MaxPool){2}( Conv1d)+ GlobalAvgPool Dense Dense Dense")
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ def _validate_sizes(layers: tuple[LayerSpec, ...]) -> None:
     for i, layer in enumerate(layers):
         for field in fields(layer):
             value = getattr(layer, field.name)
-            if min(value if isinstance(value, tuple) else (value,)) < 1:
+            if value < 1:
                 raise InvalidSpec(f"layer {i} ({type(layer).__name__}): "
                                   f"{field.name} {value} must be >= 1")
 
@@ -124,36 +128,15 @@ def _validate_lengths(spec: ModelSpec) -> None:
 
 def _validate_structure(layers: tuple[LayerSpec, ...]) -> None:
     """Enforce the fixed topology: 4 conv blocks, then 3 dense layers, 2 outputs."""
-    dense_start = next((i for i, l in enumerate(layers) if isinstance(l, Dense)), None)
-    if dense_start is None:
-        raise InvalidSpec("spec has no dense layers")
-    head, tail = layers[:dense_start], layers[dense_start:]
-    if len(tail) != 3 or not all(isinstance(l, Dense) for l in tail):
-        raise InvalidSpec("spec must end in exactly three dense layers")
-    if tail[-1].out_features != 2:
+    got = " ".join(type(layer).__name__ for layer in layers)
+    if not _TOPOLOGY.fullmatch(got):
+        raise InvalidSpec(
+            f"layers [{got}] break the fixed topology: four conv blocks, then exactly "
+            "three Dense layers; block one is the Conv2d and any Conv1d layers, each "
+            "later block one or more Conv1d layers; blocks one to three close with a "
+            "MaxPool, and only block four with the GlobalAvgPool")
+    if layers[-1].out_features != 2:
         raise InvalidSpec("final layer must have width 2")
-    if not head or not isinstance(head[0], Conv2d):
-        raise InvalidSpec("first layer must be the 2-D convolution")
-    if head[0].kernel[0] != 2:
-        raise InvalidSpec("2-D convolution kernel height must equal 2")
-    if any(isinstance(l, Conv2d) for l in head[1:]):
-        raise InvalidSpec("only the first layer may be a 2-D convolution")
-    blocks = 0
-    convs_in_block = 0
-    for layer in head:
-        if isinstance(layer, (Conv2d, Conv1d)):
-            convs_in_block += 1
-        elif isinstance(layer, (MaxPool, GlobalAvgPool)):
-            if convs_in_block == 0:
-                raise InvalidSpec("pooling layer without preceding convolution")
-            blocks += 1
-            convs_in_block = 0
-    if convs_in_block:
-        raise InvalidSpec("trailing convolutions not closed by a pooling layer")
-    if blocks != 4:
-        raise InvalidSpec(f"spec must have exactly 4 convolution blocks, got {blocks}")
-    if not isinstance(head[-1], GlobalAvgPool):
-        raise InvalidSpec("the final convolution block must end in global average pooling")
 
 
 def default_spec(sample_rate_hz: int) -> ModelSpec:
@@ -163,7 +146,7 @@ def default_spec(sample_rate_hz: int) -> ModelSpec:
     return ModelSpec(
         sample_rate_hz=sample_rate_hz,
         layers=(
-            Conv2d(out_channels=12, kernel=(2, 9), stride=2),
+            Conv2d(out_channels=12, kernel=9),
             Conv1d(out_channels=12, kernel=9),
             MaxPool(4),
             Conv1d(out_channels=16, kernel=9),
@@ -187,7 +170,7 @@ def reduced_spec(input_len: int = 64) -> ModelSpec:
     return ModelSpec(
         sample_rate_hz=2 * input_len,
         layers=(
-            Conv2d(out_channels=4, kernel=(2, 5), stride=2),
+            Conv2d(out_channels=4, kernel=5),
             Conv1d(out_channels=4, kernel=5),
             MaxPool(2),
             Conv1d(out_channels=6, kernel=5),
@@ -220,11 +203,7 @@ def activation_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     shapes: list[tuple[int, ...]] = [spec.input_shape]
     channels, length = spec.input_shape
     for layer in spec.layers:
-        if isinstance(layer, Conv2d):
-            channels = layer.out_channels
-            length = _conv_out_len(length, layer.kernel[1], layer.stride)
-            shapes.append((channels, length))
-        elif isinstance(layer, Conv1d):
+        if isinstance(layer, Conv1d):
             channels = layer.out_channels
             length = _conv_out_len(length, layer.kernel, layer.stride)
             shapes.append((channels, length))
@@ -243,12 +222,9 @@ def activation_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
 def param_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     """Weight and bias shapes in traversal order (W then b per layer)."""
     shapes: list[tuple[int, ...]] = []
-    channels = 2  # the 2-D conv consumes both mic rows like input channels
+    channels = 2  # the Conv2d takes both mic rows as input channels
     for layer in spec.layers:
-        if isinstance(layer, Conv2d):
-            shapes += [(layer.out_channels, 2, layer.kernel[1]), (layer.out_channels,)]
-            channels = layer.out_channels
-        elif isinstance(layer, Conv1d):
+        if isinstance(layer, Conv1d):
             shapes += [(layer.out_channels, channels, layer.kernel), (layer.out_channels,)]
             channels = layer.out_channels
         elif isinstance(layer, Dense):
@@ -406,7 +382,7 @@ def _layer_plan(spec: ModelSpec, params: list[np.ndarray]):
     pi = 0
     last = len(spec.layers) - 1
     for i, layer in enumerate(spec.layers):
-        n = 2 if isinstance(layer, (Conv2d, Conv1d, Dense)) else 0
+        n = 2 if isinstance(layer, (Conv1d, Dense)) else 0
         yield layer, params[pi:pi + n], i == last
         pi += n
 
@@ -418,7 +394,7 @@ def _layer_forward(layer: LayerSpec, h: np.ndarray, weights, is_last: bool,
     Without `keep_cache` no backward follows, so max-pooling skips the offsets
     of its maxima (two thirds of its time).
     """
-    if isinstance(layer, (Conv2d, Conv1d)):
+    if isinstance(layer, Conv1d):
         w, b = weights
         out, xp = _conv_forward(h, w, b, layer.stride)
         mask = out > 0

@@ -25,7 +25,8 @@ from .dsp import (
     recording_from_frames,
     slice_windows,
 )
-from .errors import InvalidSplit, NonFiniteLoss, OverlappingUserSets, SingleClassTrainingSet
+from .errors import (InvalidSplit, InvalidTrainConfig, NonFiniteLoss, OverlappingUserSets,
+                     SingleClassTrainingSet)
 from .synth import (
     ENV_COUGH_LABEL,
     SUBJECT_COUGH_LABELS,
@@ -216,13 +217,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.epochs_max < 1:
-            raise ValueError("epochs_max must be >= 1")
+            raise InvalidTrainConfig("epochs_max must be >= 1")
         if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+            raise InvalidTrainConfig("early_stop_patience must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidTrainConfig("batch_size must be >= 1")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+            raise InvalidTrainConfig(f"optimizer must be one of {OPTIMIZERS}")
 
 
 def _binary_label(label: str) -> int:
@@ -301,7 +302,7 @@ def train(
     holds one row per epoch: epoch, train_loss, val_acc1, val_f1_1.
     """
     if not train_set or not val_set:
-        raise ValueError("train and validation sets must be nonempty")
+        raise InvalidSplit("train and validation sets must be nonempty")
     y_train_labels = [lw.label for lw in train_set]
     binary = {_binary_label(l) for l in y_train_labels}
     if len(binary) < 2:

@@ -20,7 +20,6 @@ import numpy as np
 from .net import (
     BYTES_PER_VALUE,
     Conv1d,
-    Conv2d,
     Dense,
     ModelSpec,
     activation_shapes,
@@ -60,9 +59,7 @@ def profile(spec: ModelSpec) -> ResourceProfile:
     flops = 0
     in_shape = shapes[0]
     for layer, out_shape in zip(spec.layers, shapes[1:]):
-        if isinstance(layer, Conv2d):
-            flops += conv_flops(int(np.prod(out_shape)), 2 * layer.kernel[1])
-        elif isinstance(layer, Conv1d):
+        if isinstance(layer, Conv1d):
             flops += conv_flops(int(np.prod(out_shape)), in_shape[0] * layer.kernel)
         elif isinstance(layer, Dense):
             flops += dense_flops(in_shape[0], layer.out_features)

@@ -12,12 +12,20 @@ from hypothesis import settings
 
 from anccough import synth
 from anccough.dsp import DualChannelRecording, DualChannelWindow
+from anccough.net import Conv1d, Conv2d, Dense, GlobalAvgPool, MaxPool
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 run is deterministic and its time stays small.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
                           max_examples=150)
 settings.load_profile("tier1")
+
+
+# A layer table that passes every per-layer check but closes block one with the
+# global pool, so the next conv would get a (n, channels) activation.
+GAP_IN_BLOCK_ONE = (Conv2d(4, kernel=5), GlobalAvgPool(), Conv1d(4, kernel=5), MaxPool(1),
+                    Conv1d(4, kernel=5), MaxPool(1), Conv1d(4, kernel=5), GlobalAvgPool(),
+                    Dense(8), Dense(8), Dense(2))
 
 
 def spy_thread_starts(monkeypatch, cpus: set[int]) -> list[threading.Thread]:

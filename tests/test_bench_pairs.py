@@ -98,3 +98,36 @@ def test_no_common_record_is_an_error(tmp_path, capsys):
     write_records(tmp_path / "b", {}, [("ingest", 2, {"rtf": 1.0})])
     assert bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "no (workload, seed)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric,parent,change,spread,unresolved,worse", [
+    # the parent spreads (3.25 - 1.75) / 2.5 = 0.6 > 0.25 and the runs overlap
+    ("ms_per_window", [1.0, 2.0, 3.0, 4.0], [2.0, 2.5, 3.0, 2.5], 0.6, True, False),
+    # as wide, but every change run beats every parent run
+    ("ms_per_window", [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4], 0.6, False, False),
+    # 30% slower than a steady parent, against a 25% bound
+    ("ms_per_window", [1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], 0.0, False, True),
+    ("rtf", [100.0] * 4, [70.0] * 4, 0.0, False, True),  # 30% lower, higher is better
+    ("rtf", [100.0] * 4, [80.0] * 4, 0.0, False, False),  # 20% lower, inside the bound
+    ("rtf", [100.0] * 4, [130.0] * 4, 0.0, False, False),  # better, never worse
+], ids=["overlapping-spread", "separated-spread", "lower-is-worse", "higher-is-worse",
+        "inside-bound", "better"])
+def test_each_metric_is_judged_by_its_bound(tmp_path, metric, parent, change, spread,
+                                            unresolved, worse):
+    for side, values in (("parent", parent), ("change", change)):
+        write_records(tmp_path / side, {}, [("detect", seed, {metric: value})
+                                            for seed, value in enumerate(values)])
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--benchmark", str(bench), "--out", str(out)]) == 0
+    judged = json.loads(out.read_text())["workloads"]["detect"]["metrics"][metric]
+    assert judged["parent_spread"] == pytest.approx(spread)
+    assert (judged["unresolved"], judged["worse_than_bound"]) == (unresolved, worse)
+
+
+def test_the_fixture_metrics_are_resolved_and_within_bound(summary):
+    ms = summary["workloads"]["ingest"]["metrics"]["ms_per_window"]
+    assert ms["parent_spread"] == pytest.approx(0.15 / 0.65)
+    assert (ms["unresolved"], ms["worse_than_bound"]) == (False, False)

@@ -265,13 +265,6 @@ def test_train_eval_round_trip(small_dataset, tmp_path, capsys):
         "train", "--manifest", str(root / "manifest.json"), "--rate", "8000",
         "--out", str(model_path), "--epochs", "1", "--patience", "1",
         "--copies", "0", "--seed", "1", "--class-weighting",
-        "--train-users", "0", "--val-users", "1", "--test-users", "",
-    ])
-    assert code == 1  # partial split flags
-    code = main([
-        "train", "--manifest", str(root / "manifest.json"), "--rate", "8000",
-        "--out", str(model_path), "--epochs", "1", "--patience", "1",
-        "--copies", "0", "--seed", "1", "--class-weighting",
     ])
     assert code == 0
     spec, _ = load_model(model_path)
@@ -359,6 +352,28 @@ def test_config_values_get_their_flags_checks(tmp_path, capsys, config_text, nam
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "error:" in err and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,config_text", [
+    (["--train-users", "0"], None),
+    (["--train-users", "0", "--val-users", "1", "--test-users", ""], None),
+    ([], "val_users=1\n"),
+    (["--test-users", "2"], "train-users=0\n"),
+], ids=["train-only", "empty-test", "config-val-only", "config-and-flag"])
+def test_a_partial_split_is_a_usage_error(tmp_path, capsys, flags, config_text):
+    argv = ["train", "--manifest", str(tmp_path / "missing.json"),
+            "--out", str(tmp_path / "m.ecn1"), *flags]
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text)
+        argv = ["--config", str(tmp_path / "run.cfg"), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "anccough: error: provide all three of --train-users/--val-users/--test-users"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["run.cfg"] if config_text is not None else [])
 
 
 def test_negative_copies_flag_is_usage_error(tmp_path, capsys):

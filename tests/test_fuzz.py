@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from anccough import net, wavio
 from anccough.cli import main
 from anccough.dsp import SUPPORTED_RATES, DualChannelRecording, load_recording
-from anccough.errors import AnccoughError
+from anccough.errors import AnccoughError, InvalidSpec
 from anccough.model_io import load_model, save_model
 from anccough.synth import (
     EVENT_LABELS,
@@ -192,6 +192,39 @@ def test_load_model_with_any_weight_value_parses_or_raises(tmp_path_factory, wor
     """One word, most often a weight, set to any float32 under a matching CRC."""
     _check_load_model(tmp_path_factory.getbasetemp() / "m.ecn1",
                       _with_float(VALID_MODEL, word, value))
+
+
+# --- layer tables ---
+
+# sizes start at 1 and Conv1d is drawn twice as often as each other kind, so
+# more edited tables validate (test_net covers sizes below 1)
+sizes = st.integers(1, 6)
+conv1d = st.builds(net.Conv1d, sizes, sizes, sizes)
+layers = st.one_of(
+    conv1d, conv1d, st.builds(net.Conv2d, sizes, sizes, sizes), st.builds(net.MaxPool, sizes),
+    st.just(net.GlobalAvgPool()), st.builds(net.Dense, sizes))
+edits = st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 15), layers)
+
+
+@given(edits=st.lists(edits, max_size=3))
+def test_a_spec_that_validates_can_score(edits):
+    """Up to three layer edits to the reduced spec's table: the spec is either
+    rejected when built or scores a batch to finite probabilities."""
+    table = list(net.reduced_spec(64).layers)
+    for op, at, layer in edits:
+        at %= len(table) + (op == "insert")
+        if op == "insert":
+            table.insert(at, layer)
+        elif op == "replace":
+            table[at] = layer
+        elif len(table) > 1:
+            del table[at]
+    try:
+        spec = net.ModelSpec(128, tuple(table))
+    except InvalidSpec:
+        return
+    probs = net.forward_batch(spec, net.init_params(spec, seed=0), np.zeros((3, *spec.input_shape)))
+    assert probs.shape == (3, 2) and np.isfinite(probs).all()
 
 
 # --- --config files ---

@@ -17,7 +17,14 @@ from anccough.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from anccough.model_io import _HEADER_STRUCT, _LAYER_STRUCT, load_model, save_model
+from anccough.model_io import (
+    _HEADER_STRUCT,
+    _LAYER_STRUCT,
+    _layer_record,
+    load_model,
+    save_model,
+)
+from conftest import GAP_IN_BLOCK_ONE
 
 
 @pytest.fixture()
@@ -124,6 +131,19 @@ def test_layer_table_error_names_file_and_layer(saved, layer, field, value):
         load_model(path)
     assert str(path) in str(exc.value)
     assert f"layer {layer}" in str(exc.value)
+
+
+def test_a_global_pool_closing_block_one_is_rejected_on_load(tmp_path):
+    """Every record and the CRC are valid; the topology check names the file."""
+    body = bytearray(_HEADER_STRUCT.pack(b"ECN1", 1, 0, 128, len(GAP_IN_BLOCK_ONE)))
+    for layer in GAP_IN_BLOCK_ONE:
+        body += _LAYER_STRUCT.pack(*_layer_record(layer))
+    body += bytes(4 * 426)  # the weights and biases the table's shapes call for, all zero
+    path = tmp_path / "gap.ecn1"
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(InvalidSpec) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: layers [Conv2d GlobalAvgPool Conv1d ")
 
 
 def test_unsupported_version_is_typed(saved):

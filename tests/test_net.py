@@ -30,7 +30,7 @@ from anccough.net import (
     _run_forward,
     _softmax,
 )
-from conftest import spy_thread_starts
+from conftest import GAP_IN_BLOCK_ONE, spy_thread_starts
 
 EPS_LADDER = (1e-3, 1e-5, 1e-6)
 
@@ -120,6 +120,10 @@ def test_spec_validation_rejects_bad_topologies():
         # five convolution blocks
         extra = (Conv1d(8), MaxPool(2))
         ModelSpec(8000, good.layers[:-3] + extra + good.layers[-3:])
+    # a global average pool closing block one, which would crash the next conv
+    with pytest.raises(InvalidSpec, match=r"\[Conv2d GlobalAvgPool Conv1d .*\] break the fixed "
+                                          r"topology: four conv blocks"):
+        ModelSpec(128, GAP_IN_BLOCK_ONE)
     # a size below 1, or a layer that shrinks the time axis to nothing, is
     # rejected when the spec is built, not at its first forward
     layers = list(good.layers)

@@ -16,6 +16,7 @@ from anccough import net, pipeline, wavio
 from anccough.dsp import DualChannelWindow
 from anccough.errors import (
     InvalidSplit,
+    InvalidTrainConfig,
     MalformedHeader,
     NonFiniteLoss,
     OverlappingUserSets,
@@ -139,6 +140,22 @@ def test_default_split_of_two_users_is_typed():
     with pytest.raises(InvalidSplit, match="need at least 3 users") as exc:
         default_split([0, 1])
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: TrainConfig(epochs_max=0), InvalidTrainConfig, "epochs_max must be >= 1"),
+    (lambda: TrainConfig(early_stop_patience=0), InvalidTrainConfig,
+     "early_stop_patience must be >= 1"),
+    (lambda: TrainConfig(batch_size=0), InvalidTrainConfig, "batch_size must be >= 1"),
+    (lambda: TrainConfig(optimizer="x"), InvalidTrainConfig,
+     "optimizer must be one of ('sgd', 'momentum', 'adam')"),
+    (lambda: train([], [], net.reduced_spec(64), TrainConfig()), InvalidSplit,
+     "train and validation sets must be nonempty"),
+], ids=["epochs", "patience", "batch-size", "optimizer", "empty-sets"])
+def test_a_bad_training_setting_is_typed(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert isinstance(exc.value, ValueError) and str(exc.value) == message
 
 
 # SHA-256 of split_by_user over the small dataset, by target rate (see

@@ -5,10 +5,15 @@ of the two checkout roots, pairs the records by (workload, seed), and writes,
 for every workload and every end-to-end metric in BENCHMARK.json: the parent's
 and the change's median and quartiles, the number of pairs, and how many pairs
 the change won by the metric's `better` direction, and whether the change's
-median is better by more than the parent's interquartile range. Each side's environment
-records (one per distinct environment) go with it. A failed run, one that
-aborted (no metrics) or failed a check (its `problems` list is not empty),
-pairs for nothing; each workload counts its failed runs per side.
+median is better by more than the parent's interquartile range. Each metric is
+also judged against its BENCHMARK.json `bound`: `parent_spread` is the
+parent's (q3 - q1) / median; `unresolved` is true when that spread exceeds the
+bound, unless every change run beats every parent run; `worse_than_bound` is
+true when the change's median is worse than the parent's by more than bound x
+the parent's median. Each side's environment records (one per distinct
+environment) go with it. A failed run, one that aborted (no metrics) or failed
+a check (its `problems` list is not empty), pairs for nothing; each workload
+counts its failed runs per side.
 
     python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --out BENCH_<n>.json
 
@@ -86,6 +91,8 @@ def pair_summary(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             before, after = zip(*pairs)
             p, c = summary(list(before)), summary(list(after))
             gain = p["median"] - c["median"] if lower else c["median"] - p["median"]
+            spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else None
+            separated = (max(after) < min(before)) if lower else (min(after) > max(before))
             doc["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -96,6 +103,11 @@ def pair_summary(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
                 "change_pct": 100.0 * (c["median"] / p["median"] - 1.0) if p["median"] else None,
                 # the median moved the better way by more than the parent's spread
                 "gain_beyond_parent_iqr": gain > p["q3"] - p["q1"],
+                "parent_spread": spread,
+                # the parent's runs spread wider than the bound, and the change's
+                # runs do not all beat the parent's
+                "unresolved": (spread is None or spread > metric["bound"]) and not separated,
+                "worse_than_bound": -gain > metric["bound"] * abs(p["median"]),
             }
     return out
 
