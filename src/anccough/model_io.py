@@ -51,14 +51,14 @@ _KINDS = {
     4: (GlobalAvgPool, ()),
     5: (Dense, ("out_features",)),
 }
-_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
+_CODE_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 _LAYER_STRUCT = struct.Struct("<BIII")
 _HEADER_STRUCT = struct.Struct("<4sHHII")
 
 
 def _layer_record(layer) -> tuple[int, int, int, int]:
-    kind = _KIND_OF[type(layer)]
+    kind = _CODE_OF[type(layer)]
     return (kind, *(getattr(layer, name) for name in _KINDS[kind][1]), 0, 0, 0)[:4]
 
 
