@@ -16,6 +16,7 @@ from scipy import fft
 
 from . import wavio
 from .errors import NonFiniteSamples, NonIntegerFactor, NotStereo, UnsupportedRate
+from .threads import helpers
 
 SUPPORTED_RATES = (8000, 16000, 24000, 48000)
 
@@ -164,7 +165,10 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
     spectrum and summed in the frequency domain; one irfft then gives the
     block's outputs after the first sub_len - 1, which are the rows of history
     the block carries. Both channels go through together, a group of blocks
-    at a time, so memory stays bounded whatever the recording's length.
+    at a time, so memory stays bounded whatever the recording's length. The
+    groups are independent and map over the `threads.helpers()` pool (serial
+    inside another open pool); every output has the same bits at any thread
+    count.
 
     The sum runs in float64 and each output is cast to float32 once. Against
     the exact float64 convolution an output is off by at most half a float32
@@ -177,30 +181,33 @@ def decimate(rec: DualChannelRecording, target_rate_hz: int) -> DualChannelRecor
     factor = rec.sample_rate_hz // target_rate_hz
     if factor == 1:
         return DualChannelRecording(rec.data.copy(), rec.sample_rate_hz)
-    spectra, sub_len, lead = _polyphase_filter(factor)
-    hop = _DECIMATE_FFT_LEN - (sub_len - 1)  # outputs per block
-    n, out_len = len(rec), len(rec) // factor
-    out = np.empty((2, out_len), np.float32)
-    segment = np.empty((2, (_DECIMATE_GROUP * hop + sub_len - 1) * factor))
-    for m0 in range(0, out_len, _DECIMATE_GROUP * hop):
-        count = min(_DECIMATE_GROUP * hop, out_len - m0)
-        n_blocks = -(-count // hop)
-        rows = n_blocks * hop + sub_len - 1
-        # input samples [start, stop), zero outside the recording
-        start = factor * m0 - lead
-        stop = start + rows * factor
-        lo, hi = max(start, 0), min(stop, n)
-        seg = segment[:, :rows * factor]
-        if lo > start or hi < stop:
-            seg.fill(0.0)
-        seg[:, lo - start:hi - start] = rec.data[:, lo:hi]
-        phases = seg.reshape(2, rows, factor).transpose(0, 2, 1)
-        blocks = sliding_window_view(phases, _DECIMATE_FFT_LEN, axis=-1)[:, :, ::hop]
-        spectrum = fft.rfft(blocks, axis=-1)  # (2, factor, n_blocks, FFT_LEN // 2 + 1)
-        spectrum *= spectra
-        filtered = fft.irfft(spectrum.sum(axis=1), _DECIMATE_FFT_LEN, axis=-1)[..., sub_len - 1:]
-        out[:, m0:m0 + count] = filtered.reshape(2, -1)[:, :count]
+    hop = _DECIMATE_FFT_LEN - (_polyphase_filter(factor)[1] - 1)  # outputs per block
+    out = np.empty((2, len(rec) // factor), np.float32)
+    with helpers() as ordered_map:
+        list(ordered_map(lambda m0: _decimate_group(rec.data, factor, out, m0),
+                         range(0, out.shape[1], _DECIMATE_GROUP * hop)))
     return DualChannelRecording(out, target_rate_hz)
+
+
+def _decimate_group(data: np.ndarray, factor: int, out: np.ndarray, m0: int) -> None:
+    """Outputs [m0, m0 + _DECIMATE_GROUP blocks) of `decimate`, written into
+    `out`: one polyphase overlap-save pass over the input rows they need."""
+    spectra, sub_len, lead = _polyphase_filter(factor)
+    hop = _DECIMATE_FFT_LEN - (sub_len - 1)
+    count = min(_DECIMATE_GROUP * hop, out.shape[1] - m0)
+    rows = -(-count // hop) * hop + sub_len - 1
+    # input samples [start, stop), zero outside the recording
+    start = factor * m0 - lead
+    stop = start + rows * factor
+    lo, hi = max(start, 0), min(stop, data.shape[1])
+    seg = np.zeros((2, rows * factor)) if lo > start or hi < stop else np.empty((2, rows * factor))
+    seg[:, lo - start:hi - start] = data[:, lo:hi]
+    phases = seg.reshape(2, rows, factor).transpose(0, 2, 1)
+    blocks = sliding_window_view(phases, _DECIMATE_FFT_LEN, axis=-1)[:, :, ::hop]
+    spectrum = fft.rfft(blocks, axis=-1)  # (2, factor, n_blocks, FFT_LEN // 2 + 1)
+    spectrum *= spectra
+    filtered = fft.irfft(spectrum.sum(axis=1), _DECIMATE_FFT_LEN, axis=-1)[..., sub_len - 1:]
+    out[:, m0:m0 + count] = filtered.reshape(2, -1)[:, :count]
 
 
 def slice_windows(rec: DualChannelRecording) -> list[DualChannelWindow]:

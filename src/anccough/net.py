@@ -9,20 +9,32 @@ two-way output is read through a softmax.
 All math runs in the dtype of the supplied parameters: float32 in production,
 float64 when tests need finite-difference-grade precision.
 
-`predict_probs` scores the batch in chunks of CHUNK_BYTES, and
-`loss_and_grads` runs the conv blocks on the same chunks, forward and then
-backward. Both map their chunks over one `threads.helpers()` pool per call
-(the calling thread plus, with two CPUs, one helper; see threads.py for the
-schedule). No bit depends on the chunking or the thread count: every kernel
-computes each window on its own (one gemm per window per tap), and every sum
-over the batch (the loss, the dense layers, each conv layer's weight and bias
-gradients) runs on the calling thread over the whole batch, in one order.
-Helpers call only private functions (`_run_forward`, `_softmax` and the
-backward kernels). Only `forward` and `stream.detect` stay on the calling
-thread; `stream.detect` runs the same chunk loop through the builtin `map`.
-That is the wearer's path (`cli detect`, then batch-1 `StreamingDetector`
-steps), and when `cli detect` scored on two threads the steps after it ran
-about a quarter slower on a 2-vCPU host.
+Chunks are sized per block. A block is a run of layers up to and including
+a MaxPool; the last runs to the end of the layers in use (through the dense
+head when scoring). Activations shrink from block to block: at the default
+sizes block one's largest is 3, 8 and 24 times those of blocks two to four.
+Each block runs its windows in chunks of as many as fit CHUNK_BYTES of its own
+largest activation; a batch goes through in top-level chunks sized for the
+last block, capped at ceil(n / T) windows for T threads, and each block splits
+every top-level chunk into its own chunks. So no whole-batch intermediate
+activation is ever held, and the small late blocks pay numpy's call overhead
+per chunk, not per few windows. `predict_probs` scores its top-level chunks,
+`loss_and_grads` runs its conv blocks forward and then backward on them, and
+`stream.detect` scores them too: one rule for all three.
+
+`predict_probs` and `loss_and_grads` map their top-level chunks over one
+`threads.helpers()` pool per call (the calling thread plus, with two CPUs, one
+helper; see threads.py for the schedule). No bit depends on the chunking or
+the thread count: every kernel computes each window on its own (one gemm per
+window per tap), and every sum over the batch (the loss, the dense layers,
+each conv layer's weight and bias gradients) runs on the calling thread over
+the whole batch, in one order. Helpers call only private functions
+(`_forward_blocks`, `_softmax` and the backward kernels). Only `forward` and
+`stream.detect` stay on the calling thread; `stream.detect` runs the same
+chunk loop through the builtin `map`. That is the wearer's path (`cli
+detect`, then batch-1 `StreamingDetector` steps), and when `cli detect`
+scored on two threads the steps after it ran about a quarter slower on a
+2-vCPU host.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import numpy as np
 
 from .dsp import SUPPORTED_RATES, DualChannelWindow
 from .errors import InvalidSpec, NonFiniteWeights, ShapeMismatch, UnsupportedRate
+from . import threads
 from .threads import helpers
 
 CLASS_SUBJECT = 0
@@ -41,11 +54,16 @@ CLASS_OTHER = 1
 
 BYTES_PER_VALUE = 4  # all persisted weights and activations are 32-bit reals
 
-# predict_probs' default chunk: bytes of the largest layer activation over all
-# windows of a chunk (8 windows at 8 kHz, 4 at 16, 2 at 24, 1 at 48 kHz).
-# Swept on a 2-core Xeon with 2 MiB of L2 per core: 0.5-1.1 MiB chunks scored
-# fastest at every rate, and 256 windows at 8 kHz took twice as long.
-CHUNK_BYTES = 3 << 18
+# A block's chunk: bytes of the block's largest activation over the chunk's
+# windows (at 8 kHz in float32: 4, 12, 32 and 99 windows for blocks one to
+# four; block one gets 2 at 16 kHz and 1 at 24 and 48 kHz). Swept on a 2-core
+# Xeon with 2 MiB of L2 per core, 124 windows at 8 kHz, best of 3 medians of
+# 15 calls: one-thread scoring took 52-56 ms at 3 << 17, 53-57 ms at 1 << 18
+# and 1 << 19, 56-58 ms at 3 << 16 and 58-60 ms at 3 << 18, against 56-61 ms
+# for one whole-network chunk size (8 windows in every block). Two-thread
+# scoring and the batch-32 training step moved less than their run-to-run
+# noise between 1 << 18 and 3 << 18.
+CHUNK_BYTES = 3 << 17
 
 
 @dataclass(frozen=True)
@@ -426,30 +444,65 @@ def _run_forward(plan, h: np.ndarray, keep_cache: bool):
     return h, cache
 
 
-def _conv_grad_buffers(cache: list[tuple], n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per conv entry i of a chunk's trunk cache: empty whole-batch buffers for
-    that layer's masked output gradient (n, out, t) and its per-window tap
-    products (k, n, out, in)."""
+def _blocks(spec: ModelSpec, plan: list, dtype: np.dtype) -> list[tuple[int, list, int]]:
+    """`plan` (from `_layer_plan`, or its first layers) cut after each MaxPool
+    into blocks: (the index of the block's first layer, its plan, its
+    windows per chunk). A block's chunk holds as many windows as fit
+    CHUNK_BYTES of the block's largest activation, and never fewer than one."""
+    sizes = [int(np.prod(s)) for s in activation_shapes(spec)[1:]]
+    blocks, first = [], 0
+    for i, (layer, _, _) in enumerate(plan):
+        if isinstance(layer, MaxPool) or i == len(plan) - 1:
+            step = max(1, CHUNK_BYTES // (max(sizes[first:i + 1]) * dtype.itemsize))
+            blocks.append((first, plan[first:i + 1], step))
+            first = i + 1
+    return blocks
+
+
+def _top_chunks(blocks: list[tuple[int, list, int]], n: int) -> list[slice]:
+    """The top-level chunks of a batch of n: each the last block's chunk, but
+    at most ceil(n / T) windows so a pooled map keeps its T threads busy."""
+    step = max(1, min(blocks[-1][2], -(-n // threads.thread_count())))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _forward_blocks(blocks: list[tuple[int, list, int]], x: np.ndarray, keep_cache: bool):
+    """x (a top-level chunk) through `blocks`, each block over its own chunks
+    of x's windows; returns the output and, with `keep_cache`, per block the
+    cache of each of its chunks."""
+    caches = []
+    for _, plan, step in blocks:
+        runs = [_run_forward(plan, x[i:i + step], keep_cache) for i in range(0, len(x), step)]
+        x = runs[0][0] if len(runs) == 1 else np.concatenate([h for h, _ in runs])
+        caches.append([cache for _, cache in runs])
+    return x, caches
+
+
+def _conv_grad_buffers(spec: ModelSpec, plan: list,
+                       n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per conv layer i of `plan`: empty whole-batch buffers for its masked
+    output gradient (n, out, t) and its per-window tap products (k, n, out, in)."""
+    shapes = activation_shapes(spec)
     bufs = {}
-    for i, entry in enumerate(cache):
-        if entry[0] == "conv":
-            _, _, w, _, _, mask = entry
+    for i, (layer, weights, _) in enumerate(plan):
+        if isinstance(layer, Conv1d):
+            w = weights[0]
             out_ch, in_ch, k = w.shape
-            bufs[i] = (np.empty((n, out_ch, mask.shape[2]), dtype=w.dtype),
+            bufs[i] = (np.empty((n,) + shapes[i + 1], dtype=w.dtype),
                        np.empty((k, n, out_ch, in_ch), dtype=w.dtype))
     return bufs
 
 
-def _trunk_backward(cache: list[tuple], dfeatures: np.ndarray, rows: slice,
-                    bufs: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
-    """Backward through the conv blocks for the windows `rows` of the batch,
-    whose forward pass left `cache`, from the whole batch's gradient of the
-    pooled features. Each conv layer writes its masked output gradient and tap
-    products into rows `rows` of its buffers in `bufs`; the network input's
-    gradient is never needed, so the first layer skips it."""
-    dh = dfeatures[rows]
-    for i in range(len(cache) - 1, -1, -1):
-        entry = cache[i]
+def _block_backward(cache: list[tuple], first: int, dh: np.ndarray, at: int,
+                    bufs: dict[int, tuple[np.ndarray, np.ndarray]]) -> np.ndarray | None:
+    """Backward through one chunk of a block, the batch's windows from `at`,
+    whose forward left `cache`; the block's layer i is the network's layer
+    first + i. Each conv layer writes its masked output gradient and tap
+    products into the chunk's rows of its buffers in `bufs`. Returns the
+    gradient of the chunk's input, or None for the first block: the network
+    input's gradient is never needed, so the first layer skips it."""
+    rows = slice(at, at + len(dh))
+    for i, entry in reversed(list(enumerate(cache, first))):
         kind = entry[0]
         if kind == "conv":
             _, xp, w, stride, in_len, mask = entry
@@ -463,6 +516,22 @@ def _trunk_backward(cache: list[tuple], dfeatures: np.ndarray, rows: slice,
         else:  # "gap"
             _, in_len = entry
             dh = np.repeat(dh[:, :, None] / in_len, in_len, axis=2)
+    return dh
+
+
+def _trunk_backward(blocks: list[tuple[int, list, int]], caches: list[list],
+                    dfeatures: np.ndarray, rows: slice,
+                    bufs: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
+    """Backward through the conv blocks for the top-level chunk `rows` of the
+    batch, whose forward left `caches` (from `_forward_blocks`), from the
+    whole batch's gradient of the pooled features; each block runs over its
+    own chunks, last block first."""
+    dh = dfeatures[rows]
+    for (first, _, step), block_caches in zip(reversed(blocks), reversed(caches)):
+        dhs = [_block_backward(cache, first, dh[i:i + step], rows.start + i, bufs)
+               for i, cache in zip(range(0, len(dh), step), block_caches)]
+        if first:
+            dh = dhs[0] if len(dhs) == 1 else np.concatenate(dhs)
 
 
 def _head_backward(cache: list[tuple], dh: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -496,12 +565,6 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, sample_weight: np.nda
     return loss, dlogits
 
 
-def _chunk_size(spec: ModelSpec, dtype: np.dtype) -> int:
-    """Windows per chunk: as many as fit CHUNK_BYTES of the largest activation."""
-    largest = max(int(np.prod(s)) for s in activation_shapes(spec))
-    return max(1, CHUNK_BYTES // (largest * dtype.itemsize))
-
-
 def forward(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, float]:
     """Probabilities (p_subject_cough, p_other) for one normalized window."""
     data = window.data if isinstance(window, DualChannelWindow) else np.asarray(window)
@@ -514,37 +577,43 @@ def _check_batch_shape(spec: ModelSpec, x: np.ndarray) -> None:
         raise ShapeMismatch(f"batch shape {x.shape[1:]} != {spec.input_shape}")
 
 
-def _chunk_probs(plan, x: np.ndarray) -> np.ndarray:
-    """Probabilities (n, 2) of one chunk through the layers of `plan`."""
-    logits, _ = _run_forward(plan, x, keep_cache=False)
-    return _softmax(logits)
-
-
 def forward_batch(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Probabilities (n, 2) for a batch of inputs shaped (n, 2, L), as one chunk."""
     _check_batch_shape(spec, x)
-    return _chunk_probs(_layer_plan(spec, params), x.astype(params[0].dtype))
+    logits, _ = _run_forward(_layer_plan(spec, params), x.astype(params[0].dtype),
+                             keep_cache=False)
+    return _softmax(logits)
+
+
+def _chunk_probs(blocks: list[tuple[int, list, int]], x: np.ndarray) -> np.ndarray:
+    """Probabilities (n, 2) of one top-level chunk through `blocks`."""
+    logits, _ = _forward_blocks(blocks, x, keep_cache=False)
+    return _softmax(logits)
 
 
 def _score_in_chunks(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray,
                      map_fn) -> np.ndarray:
-    """Probabilities (n, 2) of x, its chunks mapped in order by `map_fn`: the
-    pool's ordered map in `predict_probs`, the builtin `map` in `stream.detect`."""
+    """Probabilities (n, 2) of x, its top-level chunks mapped in order by
+    `map_fn`: the pool's ordered map in `predict_probs`, the builtin `map` in
+    `stream.detect`."""
     _check_batch_shape(spec, x)
-    plan = list(_layer_plan(spec, params))
     dtype = params[0].dtype
-    step = _chunk_size(spec, dtype)
-    outs = map_fn(lambda i: _chunk_probs(plan, x[i:i + step].astype(dtype)),
-                  range(0, len(x), step))
-    return np.concatenate(list(outs), axis=0)
+    blocks = _blocks(spec, list(_layer_plan(spec, params)), dtype)
+    chunks = _top_chunks(blocks, len(x))
+    probs = np.empty((len(x), 2), dtype)
+    scored = map_fn(lambda rows: _chunk_probs(blocks, x[rows].astype(dtype)), chunks)
+    for rows, p in zip(chunks, scored):
+        probs[rows] = p
+    return probs
 
 
 def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Probabilities (n, 2) of a batch, scored in chunks on up to two threads.
 
-    A chunk holds as many windows as fit CHUNK_BYTES of the largest layer
-    activation, so each layer's working set stays cache-sized. Scores do not
-    depend on the chunking or the thread count.
+    Each block runs in chunks of CHUNK_BYTES of its largest activation, so
+    its working set stays cache-sized (see the module docstring). Scores do
+    not depend on the chunking or the thread count. An empty batch gives an
+    empty (0, 2) array.
     """
     with helpers() as ordered_map:
         return _score_in_chunks(spec, params, x, ordered_map)
@@ -564,25 +633,26 @@ def loss_and_grads(
     on the calling thread over the whole batch.
     """
     _check_batch_shape(spec, x)
+    if not len(x):
+        raise ShapeMismatch("empty batch: loss_and_grads needs at least one window")
     for name, values in (("labels", labels), ("sample_weight", sample_weight)):
         if values is not None and len(values) != len(x):
             raise ShapeMismatch(f"{len(values)} {name} for a batch of {len(x)}")
     x = x.astype(params[0].dtype)
     plan = list(_layer_plan(spec, params))
     head_at = next(i for i, (layer, _, _) in enumerate(plan) if isinstance(layer, Dense))
-    step = _chunk_size(spec, x.dtype)
-    rows = [slice(i, i + step) for i in range(0, len(x), step)]
+    blocks = _blocks(spec, plan[:head_at], x.dtype)
+    chunks = _top_chunks(blocks, len(x))
     with helpers() as ordered_map:
-        trunk = list(ordered_map(lambda r: _run_forward(plan[:head_at], x[r], keep_cache=True),
-                                 rows))
-        caches = [cache for _, cache in trunk]
+        trunk = list(ordered_map(lambda rows: _forward_blocks(blocks, x[rows], keep_cache=True),
+                                 chunks))
         features = np.concatenate([h for h, _ in trunk], axis=0)
         logits, head_cache = _run_forward(plan[head_at:], features, keep_cache=True)
         loss, dlogits = _cross_entropy(logits, labels, sample_weight)
         head_grads, dfeatures = _head_backward(head_cache, dlogits)
-        bufs = _conv_grad_buffers(caches[0], len(x))
-        list(ordered_map(lambda i: _trunk_backward(caches[i], dfeatures, rows[i], bufs),
-                         range(len(rows))))
+        bufs = _conv_grad_buffers(spec, plan[:head_at], len(x))
+        list(ordered_map(lambda i: _trunk_backward(blocks, trunk[i][1], dfeatures, chunks[i],
+                                                   bufs), range(len(chunks))))
     grads: list[np.ndarray] = []
     for douts, prods in bufs.values():
         grads += _conv_weight_grads(douts, prods)

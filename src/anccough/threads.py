@@ -4,11 +4,19 @@
 threads for its with-block, which gets `ordered_map(fn, items,
 helper_fn=None)`: `fn` over `items` on the calling thread plus the helpers,
 results in item order. `synth.generate_dataset` renders,
-`pipeline.load_labeled_windows` loads and `net.predict_probs` scores (for
-`evalkit.evaluate` and `pipeline.train`'s validation) through one map each;
-`net.loss_and_grads` runs its forward and backward chunk maps on one pool.
-`stream.detect`, the wearer's path, scores on the calling thread alone (see
-net.py).
+`pipeline.load_labeled_windows` loads, `dsp.decimate` filters its block
+groups and `net.predict_probs` scores (for `evalkit.evaluate` and
+`pipeline.train`'s validation) through one map each; `net.loss_and_grads`
+runs its forward and backward chunk maps on one pool. `stream.detect`, the
+wearer's path, scores on the calling thread alone (see net.py); in `cli
+detect` only the decimation before it uses the pool, which is joined before
+scoring starts.
+
+One pool at a time: a `helpers()` opened while another is open anywhere in
+the process (inside a pool item, on the caller or a helper, or from another
+thread) gets a serial map on its own caller and starts no thread. So the
+decimation inside a load item runs serially, and no more than THREADS_MAX
+threads ever compute at once.
 
 Items go in rounds of T: the calling thread runs the first item of each round,
 the helpers the rest. When round k starts, the helpers' items of round k + 1
@@ -29,6 +37,7 @@ so a helper entering one closes the caller's spans out of order. That is what
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -38,6 +47,9 @@ from contextlib import contextmanager
 # raised peak RSS by 15%; the caller plus one helper cost 7.2% on ingest.
 # Raise the cap only after measuring RSS on a box with more CPUs.
 THREADS_MAX = 2
+
+# Held by the open pool's with-block; a pool that cannot take it runs serially.
+_POOL_OPEN = threading.Lock()
 
 
 def thread_count() -> int:
@@ -53,8 +65,10 @@ def thread_count() -> int:
 def helpers() -> Iterator[Callable[..., Iterator]]:
     """The pool and its ordered map for the with-block, as described above.
     `helper_fn` must return what `fn` would. An exception from an item reaches
-    the consumer at that item's place."""
-    threads = thread_count()
+    the consumer at that item's place. While another pool is open the map is
+    serial, on the calling thread."""
+    owner = _POOL_OPEN.acquire(blocking=False)
+    threads = thread_count() if owner else 1
     pool = ThreadPoolExecutor(max(threads - 1, 1))
 
     def ordered_map(fn: Callable, items: Sequence,
@@ -74,3 +88,5 @@ def helpers() -> Iterator[Callable[..., Iterator]]:
         yield ordered_map
     finally:
         pool.shutdown(cancel_futures=True)
+        if owner:
+            _POOL_OPEN.release()

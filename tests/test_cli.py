@@ -1,6 +1,7 @@
 """Command-line surface tests, run in-process through main()."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -115,6 +116,34 @@ def test_detect_starts_no_thread_at_two_cpus(tmp_path, monkeypatch):
                  "--out", str(out_path), "--threshold", "0"]) == 0
     assert not starts
     assert [json.loads(line)["window_count"] for line in out_path.read_text().splitlines()] == [12]
+
+
+def test_detect_at_48k_decimates_on_one_helper_and_scores_on_the_caller(tmp_path, monkeypatch):
+    """At two CPUs, `detect` on a 48 kHz WAV starts one thread, for the
+    decimation's block groups, and leaves none running; scoring runs on the
+    calling thread alone."""
+    from anccough import wavio
+
+    wav_path = tmp_path / "x.wav"
+    rng = np.random.default_rng(3)  # 3 s: four decimation block groups, six windows
+    wavio.write_wav(wav_path, (0.2 * rng.standard_normal((144000, 2))).astype(np.float32),
+                    48000)
+    model_path = _detect_model(tmp_path)
+    out_path = tmp_path / "events.ndjson"
+    entered = []
+    run_forward = net._run_forward
+
+    def spy(*args):
+        entered.append(threading.current_thread())
+        return run_forward(*args)
+
+    monkeypatch.setattr(net, "_run_forward", spy)
+    starts = spy_thread_starts(monkeypatch, {0, 1})
+    assert main(["detect", "--wav", str(wav_path), "--model", str(model_path),
+                 "--out", str(out_path), "--threshold", "0"]) == 0
+    assert len(starts) == 1 and not starts[0].is_alive()
+    assert entered and set(entered) == {threading.current_thread()}
+    assert [json.loads(line)["window_count"] for line in out_path.read_text().splitlines()] == [6]
 
 
 def _detect_model(tmp_path):

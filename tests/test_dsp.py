@@ -29,7 +29,8 @@ from anccough.errors import (
     UnsupportedEncoding,
     UnsupportedRate,
 )
-from conftest import make_recording, sine_recording, write_pcm16_wav
+from anccough.threads import helpers
+from conftest import make_recording, sine_recording, spy_thread_starts, write_pcm16_wav
 
 
 def tone_amplitude(x: np.ndarray, rate_hz: int, freq_hz: float) -> float:
@@ -238,6 +239,24 @@ DECIMATE_DIGESTS = {
 @pytest.mark.parametrize("src,dst", RATE_PAIRS)
 def test_decimate_matches_recorded_digest(src, dst):
     assert _decimate_digest(src, dst) == DECIMATE_DIGESTS[src, dst]
+
+
+@pytest.mark.skipif((np.__version__, scipy.__version__) != PINNED_VERSIONS,
+                    reason="digests recorded with numpy %s, scipy %s" % PINNED_VERSIONS)
+@pytest.mark.parametrize("where", ["1 thread", "2 threads", "inside an open pool"])
+@pytest.mark.parametrize("src,dst", RATE_PAIRS)
+def test_decimate_digest_holds_on_the_helper_pool(monkeypatch, src, dst, where):
+    """The block groups map over the helper pool (or serially inside another
+    open pool) with every output bit unchanged, and no thread outlives a call."""
+    starts = spy_thread_starts(monkeypatch, {0} if where == "1 thread" else {0, 1})
+    if where == "inside an open pool":
+        with helpers():
+            assert _decimate_digest(src, dst) == DECIMATE_DIGESTS[src, dst]
+    else:
+        assert _decimate_digest(src, dst) == DECIMATE_DIGESTS[src, dst]
+    # the longest input has several block groups: one helper per call at 2 CPUs
+    assert len(starts) == (where == "2 threads")
+    assert not any(t.is_alive() for t in starts)
 
 
 def _level_jump_inputs(src, dst):

@@ -497,37 +497,110 @@ def test_conv_backward_without_dx_gives_the_same_weight_gradients():
     assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
 
 
+def _block_largest(spec):
+    """Per block (the layers up to and including each MaxPool, then the
+    rest): its input shape and the values per window of its largest
+    activation."""
+    shapes = net.activation_shapes(spec)
+    ends = [i + 1 for i, layer in enumerate(spec.layers) if isinstance(layer, MaxPool)]
+    return [(shapes[first], max(int(np.prod(s)) for s in shapes[first + 1:end + 1]))
+            for first, end in zip([0] + ends, ends + [len(spec.layers)])]
+
+
+def _byte_sized(largest, dtype):
+    return max(1, net.CHUNK_BYTES // (largest * np.dtype(dtype).itemsize))
+
+
 def test_predict_probs_default_chunks_are_byte_sized(monkeypatch):
-    """The default chunk holds CHUNK_BYTES of the largest activation, so more
-    windows at a lower rate or a narrower dtype, and never fewer than one."""
-    sizes = {}
+    """Each block's chunk holds CHUNK_BYTES of that block's largest
+    activation, so more windows in a later block, at a lower rate or in a
+    narrower dtype, and never fewer than one; the top-level chunk is the last
+    block's, at most ceil(n / T) windows for T threads."""
+    n = 20
+    sizes, tops = {}, []  # block input shape -> chunk lengths; top-level chunk lengths
+    run_forward, chunk_probs = net._run_forward, net._chunk_probs
 
-    def spy(plan, x):
-        rate = 2 * x.shape[2]  # a window is half a second long
-        sizes.setdefault((rate, x.dtype.name), []).append(len(x))
-        return np.zeros((len(x), 2))
+    def spy_block(plan, h, keep_cache):
+        sizes.setdefault(h.shape[1:], []).append(len(h))
+        return run_forward(plan, h, keep_cache)
 
+    def spy_top(blocks, x):
+        tops.append(len(x))
+        return chunk_probs(blocks, x)
+
+    monkeypatch.setattr(net, "_run_forward", spy_block)
+    monkeypatch.setattr(net, "_chunk_probs", spy_top)
+    for threads in (1, 2):
+        monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
+        per_block = {}  # (rate, dtype) -> the largest chunk of each block
+        for rate in (8000, 48000):
+            spec = net.default_spec(rate)
+            for dtype in ("float32", "float64"):
+                sizes.clear()
+                tops.clear()
+                params = _zero_params(spec, dtype)
+                out = net.predict_probs(spec, params, np.zeros((n,) + spec.input_shape, dtype))
+                assert out.shape == (n, 2)
+                blocks = _block_largest(spec)
+                top = min(_byte_sized(blocks[-1][1], dtype), -(-n // threads))
+                assert sum(tops) == n and max(tops) == top
+                for shape, largest in blocks:
+                    assert sum(sizes[shape]) == n
+                    assert max(sizes[shape]) == min(_byte_sized(largest, dtype), top)
+                per_block[rate, dtype] = [max(sizes[shape]) for shape, _ in blocks]
+        assert per_block[8000, "float32"][0] == 2 * per_block[8000, "float64"][0]
+        assert per_block[48000, "float64"][0] == 1
+        later = per_block[8000, "float32"]
+        assert later == sorted(later) and later[0] < later[-1]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_predict_probs_on_an_empty_batch_is_empty(dtype):
+    spec = net.reduced_spec(64)
+    params = net.init_params(spec, seed=3, dtype=dtype)
+    out = net.predict_probs(spec, params, np.zeros((0,) + spec.input_shape, np.float32))
+    assert out.shape == (0, 2) and out.dtype == np.dtype(dtype)
+
+
+def test_loss_and_grads_on_an_empty_batch_is_a_shape_mismatch():
+    spec = net.reduced_spec(64)
+    params = net.init_params(spec, seed=3)
+    with pytest.raises(ShapeMismatch, match="empty batch"):
+        net.loss_and_grads(spec, params, np.zeros((0,) + spec.input_shape, np.float32),
+                           np.zeros(0, int))
+
+
+def test_predict_probs_holds_no_whole_batch_activation(monkeypatch):
+    """Scoring 4N windows peaks above scoring N by no more than the added
+    input and output bytes plus one top-level chunk's input: no block's
+    output is held for every window at once."""
+    import tracemalloc
+
+    spec = net.default_spec(8000)
+    params = net.init_params(spec, seed=5)
     monkeypatch.setattr("anccough.threads.thread_count", lambda: 1)
-    monkeypatch.setattr(net, "_chunk_probs", spy)
-    for rate in (8000, 48000):
-        spec = net.default_spec(rate)
-        for dtype in (np.float32, np.float64):
-            params = _zero_params(spec, dtype)
-            out = net.predict_probs(spec, params, np.zeros((20,) + spec.input_shape, dtype))
-            assert out.shape == (20, 2)
-    for (rate, dtype), chunks in sizes.items():
-        largest = max(int(np.prod(s)) for s in net.activation_shapes(net.default_spec(rate)))
-        want = max(1, net.CHUNK_BYTES // (largest * np.dtype(dtype).itemsize))
-        assert sum(chunks) == 20 and max(chunks) == want
-    assert max(sizes[8000, "float32"]) == 2 * max(sizes[8000, "float64"])
-    assert max(sizes[48000, "float64"]) == 1
+    _windows_per_chunk(monkeypatch, spec, np.float32, 4)
+    n = 8
+    peaks = {}
+    for windows in (n, 4 * n):
+        tracemalloc.start()
+        try:
+            net.predict_probs(spec, params, np.ones((windows,) + spec.input_shape, np.float32))
+            peaks[windows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    window_bytes = int(np.prod(spec.input_shape)) * 4
+    allowed = 3 * n * (window_bytes + 2 * 4) + 4 * window_bytes
+    assert peaks[4 * n] - peaks[n] <= allowed
 
 
 # --- chunks on two threads ---
 
 def _windows_per_chunk(monkeypatch, spec, dtype, windows):
-    largest = max(int(np.prod(s)) for s in net.activation_shapes(spec))
-    monkeypatch.setattr(net, "CHUNK_BYTES", windows * largest * np.dtype(dtype).itemsize)
+    """Set CHUNK_BYTES so the top-level chunk, the last block's, holds
+    `windows` windows; earlier blocks get fewer, and never fewer than one."""
+    monkeypatch.setattr(net, "CHUNK_BYTES",
+                        windows * _block_largest(spec)[-1][1] * np.dtype(dtype).itemsize)
 
 
 def _grads_bytes(spec, params, x, labels, sample_weight):
@@ -587,24 +660,33 @@ def test_threads_started_per_call(monkeypatch, cpus, started):
 
 
 def test_a_failed_helper_chunk_propagates_and_leaves_no_thread(monkeypatch):
+    """A block-one chunk fails in the backward pass of the second top-level
+    chunk, a helper's; every block ran in its own byte-sized chunks."""
     spec = net.reduced_spec(64)
     params = net.init_params(spec, seed=67)
     boom = RuntimeError("chunk failed")
-    trunk_backward = net._trunk_backward
+    block_backward = net._block_backward
+    ran = []
 
-    def flaky(cache, dfeatures, rows, bufs):
-        if rows.start == 2:  # only the second chunk, a helper's
+    def flaky(cache, first, dh, at, bufs):
+        ran.append((first, at, len(dh), threading.current_thread()))
+        if first == 0 and at == 4:  # block one's first chunk of the second top-level chunk
             raise boom
-        trunk_backward(cache, dfeatures, rows, bufs)
+        return block_backward(cache, first, dh, at, bufs)
 
     monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
-    monkeypatch.setattr(net, "_trunk_backward", flaky)
-    _windows_per_chunk(monkeypatch, spec, np.float32, 2)
-    x = np.zeros((6,) + spec.input_shape, np.float32)
+    monkeypatch.setattr(net, "_block_backward", flaky)
+    _windows_per_chunk(monkeypatch, spec, np.float32, 4)  # block one: one window per chunk
+    x = np.zeros((8,) + spec.input_shape, np.float32)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
-        net.loss_and_grads(spec, params, x, np.zeros(6, int))
+        net.loss_and_grads(spec, params, x, np.zeros(8, int))
     assert exc.value is boom
+    failed = [r for r in ran if r[:2] == (0, 4)]
+    assert len(failed) == 1 and failed[0][2] == 1
+    assert failed[0][3] is not threading.current_thread()
+    last_block = max(first for first, _, _, _ in ran)
+    assert {r[2] for r in ran if r[0] == last_block} == {4}
     assert threading.active_count() == before
 
 
@@ -620,7 +702,7 @@ def test_predict_probs_bytes_do_not_depend_on_threads_or_chunking(monkeypatch, r
     rng = np.random.default_rng(73)
     for i in range(1, len(params), 2):
         params[i] = rng.normal(0.0, 0.05, params[i].shape).astype(dtype)
-    n = 2 * net._chunk_size(spec, np.dtype(dtype)) + 1  # the default size makes 3 chunks
+    n = 2 * _byte_sized(_block_largest(spec)[-1][1], dtype) + 1  # 3 default top-level chunks
     x = rng.standard_normal((n,) + spec.input_shape).astype(np.float32)
     want = np.concatenate([net.forward_batch(spec, params, x[i:i + 1]) for i in range(n)])
     default_bytes = net.CHUNK_BYTES
@@ -645,12 +727,15 @@ def test_a_failed_helper_scoring_chunk_raises_at_its_place_and_leaves_no_thread(
     chunk_probs = net._chunk_probs
     scored, failed_on = [], []
 
-    def flaky(plan, x):
+    def flaky(blocks, x):
         scored.append(len(x))
+        # every block's chunks are byte-sized, and never fewer than one window
+        assert [step for _, _, step in blocks] == [
+            _byte_sized(largest, np.float32) for _, largest in _block_largest(spec)]
         if len(x) == 1:  # only the fourth chunk, a helper's
             failed_on.append(threading.current_thread())
             raise boom
-        return chunk_probs(plan, x)
+        return chunk_probs(blocks, x)
 
     monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
     monkeypatch.setattr(net, "_chunk_probs", flaky)

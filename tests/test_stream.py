@@ -130,12 +130,16 @@ def test_detect_shorter_than_one_window_is_empty(duration_s):
 
 @pytest.mark.parametrize("gap_tolerance", [0, 1])
 def test_batched_detect_equals_the_stepper_across_chunks(gap_tolerance):
-    """One predict_probs call over several byte-sized chunks at 48 kHz gives
-    the stepper's events exactly, mean confidences included."""
+    """Scoring over several byte-sized top-level chunks at 48 kHz gives the
+    stepper's events exactly, mean confidences included. A top-level chunk
+    holds CHUNK_BYTES of the last block's largest activation (the layers
+    after the last MaxPool); each earlier block runs in smaller chunks."""
     spec = net.default_spec(48000)
     params = net.init_params(spec, seed=14)
-    largest = max(int(np.prod(s)) for s in net.activation_shapes(spec))
+    last_pool = max(i for i, layer in enumerate(spec.layers) if isinstance(layer, net.MaxPool))
+    largest = max(int(np.prod(s)) for s in net.activation_shapes(spec)[last_pool + 2:])
     chunk = max(1, net.CHUNK_BYTES // (largest * params[0].dtype.itemsize))
+    assert chunk > 1  # block one's chunk is a single window at 48 kHz
     rec = toy_rec(14, duration_s=0.5 * (3 * chunk + 2) + 0.3, rate=48000)
     windows = slice_windows(rec)
     assert len(windows) > 3 * chunk

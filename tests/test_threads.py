@@ -125,3 +125,77 @@ def test_a_failed_consumer_leaves_no_thread(monkeypatch, failing):
                     raise boom
     assert exc.value is boom
     assert threading.active_count() == before
+
+
+# --- one pool at a time ---
+
+def test_a_pool_opened_inside_a_pool_item_is_serial(monkeypatch):
+    """A pool opened by an item, on the caller or on the helper, maps on that
+    item's own thread, in item order, and starts no thread of its own."""
+    starts = spy_thread_starts(monkeypatch, {0, 1})
+
+    def inner(i):
+        with helpers() as ordered_map:
+            on = set()
+
+            def record(j):
+                on.add(threading.get_ident())
+                return 10 * i + j
+
+            results = list(ordered_map(record, list(range(5))))
+        return results, on == {threading.get_ident()}, threading.get_ident()
+
+    with helpers() as ordered_map:
+        outer = list(ordered_map(inner, list(range(4))))
+    assert [r for r, _, _ in outer] == [[10 * i + j for j in range(5)] for i in range(4)]
+    assert all(serial for _, serial, _ in outer)
+    assert len({ident for _, _, ident in outer}) == 2  # items ran on the caller and the helper
+    assert len(starts) == 1 and not starts[0].is_alive()
+
+
+def test_a_pool_opened_from_another_thread_while_one_is_open_is_serial(monkeypatch):
+    use_threads(monkeypatch, 2)
+    opened, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def other_user():
+        opened.wait(5)
+        with helpers() as ordered_map:
+            seen["on"] = {ident for ident in ordered_map(lambda i: threading.get_ident(),
+                                                         list(range(6)))}
+        seen["self"] = threading.get_ident()
+        release.set()
+
+    user = threading.Thread(target=other_user)
+    user.start()
+    with helpers() as ordered_map:
+        opened.set()
+        assert release.wait(5)
+        assert list(ordered_map(lambda i: -i, list(range(3)))) == [0, -1, -2]
+    user.join(5)
+    assert seen["on"] == {seen["self"]}
+    # the first pool is closed, so the next one may use the helper again
+    with helpers() as ordered_map:
+        assert len(set(ordered_map(lambda i: threading.get_ident(), list(range(6))))) == 2
+
+
+@pytest.mark.parametrize("failing", [0, 1, 3])
+def test_a_failed_item_on_the_serial_path_raises_at_its_place(monkeypatch, failing):
+    use_threads(monkeypatch, 2)
+    boom = RuntimeError("item failed")
+    taken = []
+
+    def flaky(i):
+        if i == failing:
+            raise boom
+        return i
+
+    before = threading.active_count()
+    with helpers():  # the open pool makes the next one serial
+        with pytest.raises(RuntimeError) as exc:
+            with helpers() as ordered_map:
+                for r in ordered_map(flaky, list(range(5))):
+                    taken.append(r)
+    assert exc.value is boom
+    assert taken == list(range(failing))
+    assert threading.active_count() == before
