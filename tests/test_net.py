@@ -630,8 +630,8 @@ def test_loss_and_grads_do_not_depend_on_threads_or_chunking(monkeypatch, n, dty
 
 
 def test_loss_and_grads_at_8k_do_not_depend_on_threads(monkeypatch):
-    """The default chunking (8 windows at 8 kHz in float32) on both threads
-    against one chunk on the calling thread."""
+    """The default per-block chunking at 8 kHz in float32 on both threads
+    against one top-level chunk of all 20 windows on the calling thread."""
     spec = net.default_spec(8000)
     params = net.init_params(spec, seed=43)
     rng = np.random.default_rng(47)
