@@ -9,36 +9,39 @@ two-way output is read through a softmax.
 All math runs in the dtype of the supplied parameters: float32 in production,
 float64 when tests need finite-difference-grade precision.
 
-Chunks are sized per block. A block is a run of layers up to and including
-a MaxPool; the last runs to the end of the layers in use (through the dense
-head when scoring). Activations shrink from block to block: at the default
-sizes block one's largest is 3, 8 and 24 times those of blocks two to four.
-Each block runs its windows in chunks of as many as fit CHUNK_BYTES of its own
-largest activation; a batch goes through in top-level chunks sized for the
-last block, capped at ceil(n / T) windows for T threads, and each block splits
-every top-level chunk into its own chunks. So no whole-batch intermediate
-activation is ever held, and the small late blocks pay numpy's call overhead
-per chunk, not per few windows. `predict_probs` scores its top-level chunks,
-`loss_and_grads` runs its conv blocks forward and then backward on them, and
-`stream.detect` scores them too: one rule for all three.
+One forward runs the network for every caller. The trunk, the layers
+before the first Dense, is cut after each MaxPool into blocks; the cut comes
+from shapes alone, so it is worked out once per spec. Activations shrink from
+block to block: at the default sizes block one's largest is 3, 8 and 24 times
+those of blocks two to four. Each block runs its windows in chunks of as many
+as fit CHUNK_BYTES of its own largest activation; a batch goes through the
+trunk in top-level chunks sized for the last block, capped at ceil(n / T)
+windows for T threads, and each block splits every top-level chunk into its
+own chunks. So no whole-batch intermediate activation is ever held, and the
+small late blocks pay numpy's call overhead per chunk, not per few windows.
+The pooled features are then joined, and the dense head runs once, on the
+calling thread, over the whole batch.
 
-`predict_probs` and `loss_and_grads` map their top-level chunks over one
-`threads.helpers()` pool per call (the calling thread plus, with two CPUs, one
-helper; see threads.py for the schedule). No bit depends on the chunking or
-the thread count: every kernel computes each window on its own (one gemm per
-window per tap), and every sum over the batch (the loss, the dense layers,
+Only the map over the top-level chunks differs between callers.
+`forward_batch` maps them with the builtin `map`, on the calling thread: it is
+the wearer's path (`forward`, so batch-1 `StreamingDetector` steps, and
+`stream.detect` in `cli detect`), and when `cli detect` scored on two threads
+the steps after it ran about a quarter slower on a 2-vCPU host.
+`predict_probs` and `loss_and_grads` map them over one `threads.helpers()`
+pool per call (the calling thread plus, with two CPUs, one helper; see
+threads.py for the schedule), and `loss_and_grads` runs the backward on the
+same chunks. No bit depends on the chunking or the thread count: every kernel
+computes each window on its own (one gemm per window per tap), the dense
+layers are stacked products of one row each, global pooling and the softmax
+work per row, and every sum over the batch (the loss, the dense layers' and
 each conv layer's weight and bias gradients) runs on the calling thread over
 the whole batch, in one order. Helpers call only private functions
-(`_forward_blocks`, `_softmax` and the backward kernels). Only `forward` and
-`stream.detect` stay on the calling thread; `stream.detect` runs the same
-chunk loop through the builtin `map`. That is the wearer's path (`cli
-detect`, then batch-1 `StreamingDetector` steps), and when `cli detect`
-scored on two threads the steps after it ran about a quarter slower on a
-2-vCPU host.
+(`_forward_blocks` and the backward kernels).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, fields
 
@@ -444,19 +447,17 @@ def _run_forward(plan, h: np.ndarray, keep_cache: bool):
     return h, cache
 
 
-def _blocks(spec: ModelSpec, plan: list, dtype: np.dtype) -> list[tuple[int, list, int]]:
-    """`plan` (from `_layer_plan`, or its first layers) cut after each MaxPool
-    into blocks: (the index of the block's first layer, its plan, its
-    windows per chunk). A block's chunk holds as many windows as fit
-    CHUNK_BYTES of the block's largest activation, and never fewer than one."""
+@functools.cache
+def _block_cut(spec: ModelSpec) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The index of the first Dense layer, and the trunk (the layers before
+    it) cut after each MaxPool into blocks: per block the index of its first
+    layer, the index past its last and the values per window of its largest
+    activation. Only shapes go in, so the cut is worked out once per spec."""
     sizes = [int(np.prod(s)) for s in activation_shapes(spec)[1:]]
-    blocks, first = [], 0
-    for i, (layer, _, _) in enumerate(plan):
-        if isinstance(layer, MaxPool) or i == len(plan) - 1:
-            step = max(1, CHUNK_BYTES // (max(sizes[first:i + 1]) * dtype.itemsize))
-            blocks.append((first, plan[first:i + 1], step))
-            first = i + 1
-    return blocks
+    head_at = next(i for i, layer in enumerate(spec.layers) if isinstance(layer, Dense))
+    ends = [i + 1 for i, layer in enumerate(spec.layers) if isinstance(layer, MaxPool)]
+    bounds = zip([0] + ends, ends + [head_at])
+    return head_at, tuple((first, end, max(sizes[first:end])) for first, end in bounds)
 
 
 def _top_chunks(blocks: list[tuple[int, list, int]], n: int) -> list[slice]:
@@ -478,13 +479,13 @@ def _forward_blocks(blocks: list[tuple[int, list, int]], x: np.ndarray, keep_cac
     return x, caches
 
 
-def _conv_grad_buffers(spec: ModelSpec, plan: list,
+def _conv_grad_buffers(spec: ModelSpec, params: list[np.ndarray],
                        n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per conv layer i of `plan`: empty whole-batch buffers for its masked
-    output gradient (n, out, t) and its per-window tap products (k, n, out, in)."""
+    """Per conv layer i: empty whole-batch buffers for its masked output
+    gradient (n, out, t) and its per-window tap products (k, n, out, in)."""
     shapes = activation_shapes(spec)
     bufs = {}
-    for i, (layer, weights, _) in enumerate(plan):
+    for i, (layer, weights, _) in enumerate(_layer_plan(spec, params)):
         if isinstance(layer, Conv1d):
             w = weights[0]
             out_ch, in_ch, k = w.shape
@@ -572,39 +573,41 @@ def forward(spec: ModelSpec, params: list[np.ndarray], window) -> tuple[float, f
     return float(probs[CLASS_SUBJECT]), float(probs[CLASS_OTHER])
 
 
-def _check_batch_shape(spec: ModelSpec, x: np.ndarray) -> None:
+def _forward(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray, map_fn,
+             keep_cache: bool):
+    """The logits of a batch x shaped (n, 2, L), and what backward needs.
+
+    The trunk's top-level chunks go through `map_fn` (the builtin `map` on
+    the calling thread, or a pool's ordered map), each cast to the params'
+    dtype on its own; the dense head then runs once on the calling thread
+    over the whole batch's pooled features. Returns the logits and (blocks,
+    chunks, per chunk its block caches, the head's cache); the caches are
+    empty without `keep_cache`.
+    """
     if tuple(x.shape[1:]) != spec.input_shape:
         raise ShapeMismatch(f"batch shape {x.shape[1:]} != {spec.input_shape}")
+    dtype = params[0].dtype
+    plan = list(_layer_plan(spec, params))
+    head_at, cut = _block_cut(spec)
+    blocks = [(first, plan[first:end], max(1, CHUNK_BYTES // (largest * dtype.itemsize)))
+              for first, end, largest in cut]
+    chunks = _top_chunks(blocks, len(x))
+    trunk = list(map_fn(lambda rows: _forward_blocks(blocks, x[rows].astype(dtype), keep_cache),
+                        chunks))
+    in_features = plan[head_at][1][0].shape[1]  # an empty batch has no chunks to join
+    features = np.concatenate([h for h, _ in trunk] or [np.empty((0, in_features), dtype)])
+    logits, head_cache = _run_forward(plan[head_at:], features, keep_cache)
+    return logits, (blocks, chunks, [caches for _, caches in trunk], head_cache)
 
 
 def forward_batch(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Probabilities (n, 2) for a batch of inputs shaped (n, 2, L), as one chunk."""
-    _check_batch_shape(spec, x)
-    logits, _ = _run_forward(_layer_plan(spec, params), x.astype(params[0].dtype),
-                             keep_cache=False)
-    return _softmax(logits)
+    """Probabilities (n, 2) of a batch shaped (n, 2, L), on the calling thread.
 
-
-def _chunk_probs(blocks: list[tuple[int, list, int]], x: np.ndarray) -> np.ndarray:
-    """Probabilities (n, 2) of one top-level chunk through `blocks`."""
-    logits, _ = _forward_blocks(blocks, x, keep_cache=False)
-    return _softmax(logits)
-
-
-def _score_in_chunks(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray,
-                     map_fn) -> np.ndarray:
-    """Probabilities (n, 2) of x, its top-level chunks mapped in order by
-    `map_fn`: the pool's ordered map in `predict_probs`, the builtin `map` in
-    `stream.detect`."""
-    _check_batch_shape(spec, x)
-    dtype = params[0].dtype
-    blocks = _blocks(spec, list(_layer_plan(spec, params)), dtype)
-    chunks = _top_chunks(blocks, len(x))
-    probs = np.empty((len(x), 2), dtype)
-    scored = map_fn(lambda rows: _chunk_probs(blocks, x[rows].astype(dtype)), chunks)
-    for rows, p in zip(chunks, scored):
-        probs[rows] = p
-    return probs
+    The entry of the wearer's path (`forward`, so `StreamingDetector.step`,
+    and `stream.detect`): the same chunks as `predict_probs`, mapped in order
+    by the builtin `map`, so it starts no thread and gives the same bytes.
+    """
+    return _softmax(_forward(spec, params, x, map, keep_cache=False)[0])
 
 
 def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -612,11 +615,11 @@ def predict_probs(spec: ModelSpec, params: list[np.ndarray], x: np.ndarray) -> n
 
     Each block runs in chunks of CHUNK_BYTES of its largest activation, so
     its working set stays cache-sized (see the module docstring). Scores do
-    not depend on the chunking or the thread count. An empty batch gives an
-    empty (0, 2) array.
+    not depend on the chunking or the thread count, so they are
+    `forward_batch`'s bytes. An empty batch gives an empty (0, 2) array.
     """
     with helpers() as ordered_map:
-        return _score_in_chunks(spec, params, x, ordered_map)
+        return _softmax(_forward(spec, params, x, ordered_map, keep_cache=False)[0])
 
 
 def loss_and_grads(
@@ -632,27 +635,19 @@ def loss_and_grads(
     to two threads; the dense head, the loss and every sum over the batch run
     on the calling thread over the whole batch.
     """
-    _check_batch_shape(spec, x)
     if not len(x):
         raise ShapeMismatch("empty batch: loss_and_grads needs at least one window")
     for name, values in (("labels", labels), ("sample_weight", sample_weight)):
         if values is not None and len(values) != len(x):
             raise ShapeMismatch(f"{len(values)} {name} for a batch of {len(x)}")
-    x = x.astype(params[0].dtype)
-    plan = list(_layer_plan(spec, params))
-    head_at = next(i for i, (layer, _, _) in enumerate(plan) if isinstance(layer, Dense))
-    blocks = _blocks(spec, plan[:head_at], x.dtype)
-    chunks = _top_chunks(blocks, len(x))
     with helpers() as ordered_map:
-        trunk = list(ordered_map(lambda rows: _forward_blocks(blocks, x[rows], keep_cache=True),
-                                 chunks))
-        features = np.concatenate([h for h, _ in trunk], axis=0)
-        logits, head_cache = _run_forward(plan[head_at:], features, keep_cache=True)
+        logits, (blocks, chunks, trunk, head_cache) = _forward(spec, params, x, ordered_map,
+                                                              keep_cache=True)
         loss, dlogits = _cross_entropy(logits, labels, sample_weight)
         head_grads, dfeatures = _head_backward(head_cache, dlogits)
-        bufs = _conv_grad_buffers(spec, plan[:head_at], len(x))
-        list(ordered_map(lambda i: _trunk_backward(blocks, trunk[i][1], dfeatures, chunks[i],
-                                                   bufs), range(len(chunks))))
+        bufs = _conv_grad_buffers(spec, params, len(x))
+        list(ordered_map(lambda i: _trunk_backward(blocks, trunk[i], dfeatures, chunks[i], bufs),
+                         range(len(chunks))))
     grads: list[np.ndarray] = []
     for douts, prods in bufs.values():
         grads += _conv_weight_grads(douts, prods)

@@ -114,9 +114,9 @@ def detect(
     """Slice, normalize and score a whole recording, merging positive windows.
 
     The recording must already be at the model's rate; decimate first. All
-    windows are scored in `predict_probs`' chunks, on the calling thread only
+    windows are scored by `net.forward_batch`, on the calling thread only
     (see net.py: a two-thread burst slows the batch-1 steps that follow it);
-    scores do not depend on the chunking, so the events are the ones the
+    scores do not depend on the batch, so the events are the ones the
     stepper emits window by window.
     """
     if rec.sample_rate_hz != spec.sample_rate_hz:
@@ -127,7 +127,7 @@ def detect(
     if not windows:
         return []
     x = np.stack([normalize(w).data for w in windows])
-    probs = net._score_in_chunks(spec, params, x, map)[:, net.CLASS_SUBJECT].tolist()
+    probs = net.forward_batch(spec, params, x)[:, net.CLASS_SUBJECT].tolist()
     starts = [w.start_s for w in windows]
     window_s = spec.input_len / spec.sample_rate_hz
     return _merge_positive_runs(probs, starts, window_s, threshold, gap_tolerance)

@@ -7,8 +7,9 @@ results in item order. `synth.generate_dataset` renders,
 `pipeline.load_labeled_windows` loads, `dsp.decimate` filters its block
 groups and `net.predict_probs` scores (for `evalkit.evaluate` and
 `pipeline.train`'s validation) through one map each; `net.loss_and_grads`
-runs its forward and backward chunk maps on one pool. `stream.detect`, the
-wearer's path, scores on the calling thread alone (see net.py); in `cli
+runs its forward and backward chunk maps on one pool. `net.forward_batch`,
+the wearer's path (`stream.detect` and the stepper), maps the same forward's
+chunks with the builtin `map` and starts no thread (see net.py); in `cli
 detect` only the decimation before it uses the pool, which is joined before
 scoring starts.
 

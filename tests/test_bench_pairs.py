@@ -93,6 +93,27 @@ def test_each_side_keeps_its_environment(summary):
                                       "change": [{"git_commit": "bbb"}]}
 
 
+def test_each_side_names_its_src_by_digest(tmp_path):
+    """Two roots with different src/ get different digests; equal src/ equal ones."""
+    roots = {}
+    for side, body in (("parent", "A = 1\n"), ("change", "A = 2\n"), ("copy", "A = 1\n")):
+        root = tmp_path / side
+        write_records(root, {"git_commit": "unknown"}, [("ingest", 1, {"rtf": 1.0})])
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "src" / "pkg" / "mod.py").write_text(body)
+        (root / "src" / "pkg" / "notes.txt").write_text(side)  # not Python: not hashed
+        roots[side] = root
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(roots["parent"]), str(roots["change"]), "--benchmark",
+                             str(bench), "--out", str(out)]) == 0
+    digests = json.loads(out.read_text())["src_sha256"]
+    assert digests["parent"] != digests["change"]
+    assert digests["parent"] == bench_pairs.src_digest(roots["parent"])
+    assert bench_pairs.src_digest(roots["copy"]) == digests["parent"]
+
+
 def test_no_common_record_is_an_error(tmp_path, capsys):
     write_records(tmp_path / "a", {}, [("ingest", 1, {"rtf": 1.0})])
     write_records(tmp_path / "b", {}, [("ingest", 2, {"rtf": 1.0})])

@@ -518,18 +518,18 @@ def test_predict_probs_default_chunks_are_byte_sized(monkeypatch):
     block's, at most ceil(n / T) windows for T threads."""
     n = 20
     sizes, tops = {}, []  # block input shape -> chunk lengths; top-level chunk lengths
-    run_forward, chunk_probs = net._run_forward, net._chunk_probs
+    run_forward, forward_blocks = net._run_forward, net._forward_blocks
 
     def spy_block(plan, h, keep_cache):
         sizes.setdefault(h.shape[1:], []).append(len(h))
         return run_forward(plan, h, keep_cache)
 
-    def spy_top(blocks, x):
+    def spy_top(blocks, x, keep_cache):
         tops.append(len(x))
-        return chunk_probs(blocks, x)
+        return forward_blocks(blocks, x, keep_cache)
 
     monkeypatch.setattr(net, "_run_forward", spy_block)
-    monkeypatch.setattr(net, "_chunk_probs", spy_top)
+    monkeypatch.setattr(net, "_forward_blocks", spy_top)
     for threads in (1, 2):
         monkeypatch.setattr("anccough.threads.thread_count", lambda: threads)
         per_block = {}  # (rate, dtype) -> the largest chunk of each block
@@ -547,6 +547,8 @@ def test_predict_probs_default_chunks_are_byte_sized(monkeypatch):
                 for shape, largest in blocks:
                     assert sum(sizes[shape]) == n
                     assert max(sizes[shape]) == min(_byte_sized(largest, dtype), top)
+                # the dense head runs once, over the whole batch's pooled features
+                assert sizes[net.activation_shapes(spec)[-4]] == [n]
                 per_block[rate, dtype] = [max(sizes[shape]) for shape, _ in blocks]
         assert per_block[8000, "float32"][0] == 2 * per_block[8000, "float64"][0]
         assert per_block[48000, "float64"][0] == 1
@@ -570,10 +572,11 @@ def test_loss_and_grads_on_an_empty_batch_is_a_shape_mismatch():
                            np.zeros(0, int))
 
 
-def test_predict_probs_holds_no_whole_batch_activation(monkeypatch):
+@pytest.mark.parametrize("score", ["predict_probs", "forward_batch"])
+def test_predict_probs_holds_no_whole_batch_activation(monkeypatch, score):
     """Scoring 4N windows peaks above scoring N by no more than the added
     input and output bytes plus one top-level chunk's input: no block's
-    output is held for every window at once."""
+    output is held for every window at once, on the pool or on the caller."""
     import tracemalloc
 
     spec = net.default_spec(8000)
@@ -585,7 +588,7 @@ def test_predict_probs_holds_no_whole_batch_activation(monkeypatch):
     for windows in (n, 4 * n):
         tracemalloc.start()
         try:
-            net.predict_probs(spec, params, np.ones((windows,) + spec.input_shape, np.float32))
+            getattr(net, score)(spec, params, np.ones((windows,) + spec.input_shape, np.float32))
             peaks[windows] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -724,10 +727,10 @@ def test_a_failed_helper_scoring_chunk_raises_at_its_place_and_leaves_no_thread(
     spec = net.reduced_spec(64)
     params = net.init_params(spec, seed=79)
     boom = RuntimeError("chunk failed")
-    chunk_probs = net._chunk_probs
+    forward_blocks = net._forward_blocks
     scored, failed_on = [], []
 
-    def flaky(blocks, x):
+    def flaky(blocks, x, keep_cache):
         scored.append(len(x))
         # every block's chunks are byte-sized, and never fewer than one window
         assert [step for _, _, step in blocks] == [
@@ -735,10 +738,10 @@ def test_a_failed_helper_scoring_chunk_raises_at_its_place_and_leaves_no_thread(
         if len(x) == 1:  # only the fourth chunk, a helper's
             failed_on.append(threading.current_thread())
             raise boom
-        return chunk_probs(blocks, x)
+        return forward_blocks(blocks, x, keep_cache)
 
     monkeypatch.setattr("anccough.threads.thread_count", lambda: 2)
-    monkeypatch.setattr(net, "_chunk_probs", flaky)
+    monkeypatch.setattr(net, "_forward_blocks", flaky)
     _windows_per_chunk(monkeypatch, spec, np.float32, 2)
     x = np.zeros((7,) + spec.input_shape, np.float32)
     before = threading.active_count()
@@ -753,7 +756,11 @@ def test_a_failed_helper_scoring_chunk_raises_at_its_place_and_leaves_no_thread(
 
 def test_only_the_calling_thread_enters_forward_and_forward_batch(monkeypatch):
     """Helpers run private functions only, never the public bindings a traced
-    run swaps for span wrappers."""
+    run swaps for span wrappers; `stream.detect` scores through the public
+    `forward_batch`, on the caller."""
+    from anccough import stream
+    from anccough.dsp import DualChannelRecording
+
     entered = []
     for name in ("forward", "forward_batch"):
         original = getattr(net, name)
@@ -772,5 +779,9 @@ def test_only_the_calling_thread_enters_forward_and_forward_batch(monkeypatch):
     net.loss_and_grads(spec, params, x, np.zeros(9, int))
     net.forward(spec, params, x[0])
     net.forward_batch(spec, params, x)
-    assert len(entered) == 3  # forward, and forward_batch from it and alone
+    spec8 = net.default_spec(8000)
+    rec = DualChannelRecording(np.zeros((2, 3 * spec8.input_len), np.float32), 8000)
+    stream.detect(spec8, net.init_params(spec8, seed=83), rec)
+    # forward, forward_batch from it and alone, and once from stream.detect
+    assert len(entered) == 4
     assert set(entered) == {threading.current_thread()}

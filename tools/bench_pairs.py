@@ -11,7 +11,10 @@ parent's (q3 - q1) / median; `unresolved` is true when that spread exceeds the
 bound, unless every change run beats every parent run; `worse_than_bound` is
 true when the change's median is worse than the parent's by more than bound x
 the parent's median. Each side's environment records (one per distinct
-environment) go with it. A failed run, one that aborted (no metrics) or failed
+environment) go with it, and so does a SHA-256 of each side's `src/**/*.py`
+(their relative paths and bytes, in path order), which names the code each
+side timed where the records' `git_commit` cannot, as in a `git archive`
+copy. A failed run, one that aborted (no metrics) or failed
 a check (its `problems` list is not empty), pairs for nothing; each workload
 counts its failed runs per side.
 
@@ -25,6 +28,7 @@ the two sides, e.g. `python3 perfbench/run.py --workload ingest --seed 101
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -65,6 +69,15 @@ def environments(records) -> list[dict]:
         if record["environment"] not in distinct:
             distinct.append(record["environment"])
     return distinct
+
+
+def src_digest(root: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of root's src/**/*.py."""
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in (root / "src").rglob("*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def pair_summary(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
@@ -130,6 +143,7 @@ def main(argv=None) -> int:
         "workloads": pair_summary(parent, change, end_to_end),
         "environment": {"parent": environments(parent[k] for k in paired),
                         "change": environments(change[k] for k in paired)},
+        "src_sha256": {"parent": src_digest(args.parent), "change": src_digest(args.change)},
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out is None:
